@@ -3,15 +3,18 @@
 //
 // Reports, per mode: how many edges the per-flow DAG retains (multipath
 // headroom) and the resulting U_max ratio for neutral and random weights.
-// This is the experiment behind the repository's choice of
-// kDistanceToSink as the default prune mode.
+// This is the experiment behind the repository's choice of the downhill
+// (kDistanceToSink) DAG as softmin_routing's only mode: every mode here
+// runs through the per-pair reference translation (routing/reference.hpp),
+// whose downhill mode equals the production translation.
 #include <cstdio>
+#include <memory>
 
 #include "core/evaluate.hpp"
 #include "core/experiment.hpp"
 #include "graph/algorithms.hpp"
 #include "routing/prune.hpp"
-#include "routing/softmin.hpp"
+#include "routing/reference.hpp"
 #include "topo/zoo.hpp"
 #include "util/table.hpp"
 
@@ -71,19 +74,25 @@ int main() {
     std::vector<double> random_w(static_cast<size_t>(g.num_edges()));
     for (auto& w : random_w) w = wrng.uniform(0.5, 3.0);
 
-    routing::SoftminOptions options;
-    options.prune_mode = mode;
+    // U_max oracle of the per-pair translation under `mode`.
+    auto scheme = [&](const graph::DiGraph& gr,
+                      const std::vector<double>& w) -> UmaxOracle {
+      auto r = std::make_shared<const routing::reference::PairRouting>(
+          routing::reference::softmin_routing_generic(
+              gr, w, routing::SoftminOptions{}, mode));
+      return [&gr, r](const traffic::DemandMatrix& dm) {
+        return routing::reference::simulate(gr, *r, dm).u_max;
+      };
+    };
     mcf::OptimalCache cache;
-    const auto neutral = evaluate_fixed(
+    const auto neutral = evaluate_fixed_u_max(
         {scenario}, memory, cache, [&](const graph::DiGraph& gr) {
-          const std::vector<double> w(
-              static_cast<size_t>(gr.num_edges()), 1.0);
-          return routing::softmin_routing(gr, w, options);
+          return scheme(
+              gr, std::vector<double>(static_cast<size_t>(gr.num_edges()), 1.0));
         });
-    const auto random_eval = evaluate_fixed(
-        {scenario}, memory, cache, [&](const graph::DiGraph& gr) {
-          return routing::softmin_routing(gr, random_w, options);
-        });
+    const auto random_eval = evaluate_fixed_u_max(
+        {scenario}, memory, cache,
+        [&](const graph::DiGraph& gr) { return scheme(gr, random_w); });
 
     table.add_row({mode_name(mode), util::fmt(mean_edges(unit), 2),
                    util::fmt(mean_edges(random_w), 2),

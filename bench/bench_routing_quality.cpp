@@ -8,12 +8,14 @@
 // FPTAS's estimate of the optimum as a solver cross-check (its ratio
 // column should sit within its 1/(1-3eps) guarantee of 1.0).
 #include <cstdio>
+#include <memory>
 
 #include "core/evaluate.hpp"
 #include "core/experiment.hpp"
 #include "graph/algorithms.hpp"
 #include "mcf/fptas.hpp"
 #include "routing/baselines.hpp"
+#include "routing/reference.hpp"
 #include "routing/softmin.hpp"
 #include "topo/zoo.hpp"
 #include "obs/sink.hpp"
@@ -65,11 +67,17 @@ int main(int argc, char** argv) {
           return routing::softmin_routing(gr, w);
         },
         &pool);
-    const auto multipath = evaluate_fixed(
+    // k-shortest multipath splits per (source, destination), so it is
+    // scored through the per-pair reference routing.
+    const auto multipath = evaluate_fixed_u_max(
         {scenario}, memory, cache,
-        [](const graph::DiGraph& gr) {
-          return routing::uniform_multipath_routing(
-              gr, graph::unit_weights(gr), 3);
+        [](const graph::DiGraph& gr) -> UmaxOracle {
+          auto r = std::make_shared<const routing::reference::PairRouting>(
+              routing::reference::uniform_multipath_routing(
+                  gr, graph::unit_weights(gr), 3));
+          return [&gr, r](const traffic::DemandMatrix& dm) {
+            return routing::reference::simulate(gr, *r, dm).u_max;
+          };
         },
         &pool);
     // Static data-driven baseline: optimal for the mean of the training

@@ -13,6 +13,7 @@
 #include "mcf/fptas.hpp"
 #include "mcf/optimal.hpp"
 #include "routing/baselines.hpp"
+#include "routing/reference.hpp"
 #include "routing/softmin.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/generators.hpp"
@@ -53,7 +54,8 @@ int main() {
     const std::vector<double> equal(static_cast<size_t>(g.num_edges()), 1.0);
     const auto soft1 = routing::softmin_routing(g, equal, g1);
     const auto soft4 = routing::softmin_routing(g, equal, g4);
-    const auto multi = routing::uniform_multipath_routing(g, w, 3);
+    // Per-(source, destination) splits: a reference PairRouting.
+    const auto multi = routing::reference::uniform_multipath_routing(g, w, 3);
 
     for (int rep = 0; rep < 8; ++rep) {
       const auto dm =
@@ -64,7 +66,7 @@ int main() {
       ecmp_stat.add(routing::simulate(g, ecmp, dm).u_max / u_opt);
       soft1_stat.add(routing::simulate(g, soft1, dm).u_max / u_opt);
       soft4_stat.add(routing::simulate(g, soft4, dm).u_max / u_opt);
-      multi_stat.add(routing::simulate(g, multi, dm).u_max / u_opt);
+      multi_stat.add(routing::reference::simulate(g, multi, dm).u_max / u_opt);
       mcf::FptasOptions fopt;
       fopt.epsilon = 0.1;
       fptas_stat.add(

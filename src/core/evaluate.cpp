@@ -1,6 +1,7 @@
 #include "core/evaluate.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "routing/baselines.hpp"
 #include "util/stats.hpp"
@@ -96,8 +97,25 @@ EvalResult evaluate_fixed(
     const std::function<routing::Routing(const graph::DiGraph&)>&
         make_routing,
     util::ThreadPool* pool) {
+  return evaluate_fixed_u_max(
+      scenarios, memory, cache,
+      [&](const graph::DiGraph& g) -> UmaxOracle {
+        auto strategy = std::make_shared<const routing::Routing>(
+            make_routing(g));
+        return [&g, strategy](const traffic::DemandMatrix& dm) {
+          return routing::simulate(g, *strategy, dm).u_max;
+        };
+      },
+      pool);
+}
+
+EvalResult evaluate_fixed_u_max(
+    const std::vector<Scenario>& scenarios, int memory,
+    mcf::OptimalCache& cache,
+    const std::function<UmaxOracle(const graph::DiGraph&)>& make_scheme,
+    util::ThreadPool* pool) {
   // Flatten to (scenario, test sequence) units; each unit is scored
-  // independently (make_routing is pure, the cache is internally locked).
+  // independently (make_scheme is pure, the cache is internally locked).
   struct Unit {
     const Scenario* scenario;
     const traffic::DemandSequence* seq;
@@ -112,16 +130,14 @@ EvalResult evaluate_fixed(
   const auto unit_ratios = util::parallel_map(
       pool, units.size(), [&](std::size_t u) {
         const Unit& unit = units[u];
-        const routing::Routing strategy =
-            make_routing(unit.scenario->graph);
+        const UmaxOracle u_max = make_scheme(unit.scenario->graph);
         std::vector<double> ratios;
         for (std::size_t t = static_cast<std::size_t>(memory);
              t < unit.seq->size(); ++t) {
-          const auto sim = routing::simulate(unit.scenario->graph, strategy,
-                                             (*unit.seq)[t]);
+          const double achieved = u_max((*unit.seq)[t]);
           const double u_opt =
               cache.u_max(unit.scenario->graph, (*unit.seq)[t]);
-          ratios.push_back(u_opt > 0.0 ? sim.u_max / u_opt : 1.0);
+          ratios.push_back(u_opt > 0.0 ? achieved / u_opt : 1.0);
         }
         return ratios;
       });

@@ -48,6 +48,17 @@ EvalResult evaluate_fixed(
         make_routing,
     util::ThreadPool* pool = nullptr);
 
+// The same evaluation for a scheme that is not a destination-based
+// Routing (e.g. a per-pair reference routing in an ablation): per topology,
+// `make_scheme` returns the scheme's U_max for any demand matrix.  Must be
+// pure, like `make_routing`.
+using UmaxOracle = std::function<double(const traffic::DemandMatrix&)>;
+EvalResult evaluate_fixed_u_max(
+    const std::vector<Scenario>& scenarios, int memory,
+    mcf::OptimalCache& cache,
+    const std::function<UmaxOracle(const graph::DiGraph&)>& make_scheme,
+    util::ThreadPool* pool = nullptr);
+
 // Hop-count shortest-path routing (the paper's dotted baseline).
 EvalResult evaluate_shortest_path(const std::vector<Scenario>& scenarios,
                                   int memory, mcf::OptimalCache& cache,

@@ -22,9 +22,7 @@ Routing shortest_path_routing(const DiGraph& g,
       if (v == t) continue;
       const EdgeId next = sp.parent_edge[static_cast<size_t>(v)];
       if (next == kInvalidEdge) continue;  // unreachable
-      for (NodeId s = 0; s < g.num_nodes(); ++s) {
-        if (s != t) routing.set_ratio(s, t, next, 1.0);
-      }
+      routing.set_ratio(t, next, 1.0);
     }
   }
   return routing;
@@ -43,11 +41,7 @@ Routing ecmp_routing(const DiGraph& g, const std::vector<double>& weights) {
       const auto& outs = dag[static_cast<size_t>(v)];
       if (outs.empty()) continue;
       const double share = 1.0 / static_cast<double>(outs.size());
-      for (EdgeId e : outs) {
-        for (NodeId s = 0; s < g.num_nodes(); ++s) {
-          if (s != t) routing.set_ratio(s, t, e, share);
-        }
-      }
+      for (EdgeId e : outs) routing.set_ratio(t, e, share);
     }
   }
   return routing;
@@ -133,17 +127,16 @@ Routing routing_from_dest_flows(
     const auto flow = cancel_flow_cycles(g, raw);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (v == t) continue;
+      // The simplex leaves round-off such as -5e-13 on unused edges; only
+      // positive flow counts, or the other shares would exceed 1.
       double out_total = 0.0;
       for (EdgeId e : g.out_edges(v)) {
-        out_total += flow[static_cast<size_t>(e)];
+        out_total += std::max(0.0, flow[static_cast<size_t>(e)]);
       }
       if (out_total <= 1e-12) continue;
       for (EdgeId e : g.out_edges(v)) {
         const double share = flow[static_cast<size_t>(e)] / out_total;
-        if (share <= 0.0) continue;
-        for (NodeId s = 0; s < g.num_nodes(); ++s) {
-          if (s != t) routing.set_ratio(s, t, e, share);
-        }
+        if (share > 0.0) routing.set_ratio(t, e, share);
       }
     }
   }
@@ -193,43 +186,6 @@ Routing mean_demand_optimal_routing(const DiGraph& g,
     throw std::runtime_error("mean_demand_optimal_routing: LP failed");
   }
   return routing_from_dest_flows(g, opt.flow_by_dest);
-}
-
-Routing uniform_multipath_routing(const DiGraph& g,
-                                  const std::vector<double>& weights, int k) {
-  if (k <= 0) throw std::invalid_argument("uniform_multipath: k <= 0");
-  Routing routing(g.num_nodes(), g.num_edges());
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      if (s == t) continue;
-      const auto paths = graph::k_shortest_paths(g, s, t, weights, k);
-      if (paths.empty()) continue;
-      // Unit demand split evenly over the paths -> edge flows -> cancel any
-      // inter-path cycles -> splitting ratios.
-      std::vector<double> flow(static_cast<size_t>(g.num_edges()), 0.0);
-      const double share = 1.0 / static_cast<double>(paths.size());
-      for (const auto& path : paths) {
-        for (size_t i = 0; i + 1 < path.size(); ++i) {
-          const auto e = g.find_edge(path[i], path[i + 1]);
-          flow[static_cast<size_t>(*e)] += share;
-        }
-      }
-      flow = cancel_flow_cycles(g, flow);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (v == t) continue;
-        double out_total = 0.0;
-        for (EdgeId e : g.out_edges(v)) {
-          out_total += flow[static_cast<size_t>(e)];
-        }
-        if (out_total <= 1e-12) continue;
-        for (EdgeId e : g.out_edges(v)) {
-          const double r = flow[static_cast<size_t>(e)] / out_total;
-          if (r > 0.0) routing.set_ratio(s, t, e, r);
-        }
-      }
-    }
-  }
-  return routing;
 }
 
 }  // namespace gddr::routing

@@ -1,6 +1,8 @@
 // Classical routing baselines (paper §VIII-A uses shortest-path routing as
-// the non-learned comparison; ECMP, uniform k-shortest multipath and the
-// LP-derived optimal routing round out the study in bench_routing_quality).
+// the non-learned comparison; ECMP and the LP-derived optimal routing round
+// out the study in bench_routing_quality).  All of them are
+// destination-based; the per-pair uniform k-shortest multipath baseline
+// lives in routing/reference.hpp.
 #pragma once
 
 #include <vector>
@@ -23,11 +25,6 @@ Routing shortest_path_routing(const graph::DiGraph& g);
 // lies on some shortest path toward the destination.
 Routing ecmp_routing(const graph::DiGraph& g,
                      const std::vector<double>& weights);
-
-// Uniform split over the k shortest loopless paths of each flow (an
-// oblivious-flavoured multipath baseline).
-Routing uniform_multipath_routing(const graph::DiGraph& g,
-                                  const std::vector<double>& weights, int k);
 
 // Converts the optimal LP solution's per-destination edge flows into a
 // destination-based routing (after cancelling any flow cycles).  Simulating

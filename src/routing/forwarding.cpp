@@ -1,8 +1,7 @@
 #include "routing/forwarding.hpp"
 
-#include <cmath>
+#include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 namespace gddr::routing {
 
@@ -10,40 +9,18 @@ using graph::DiGraph;
 using graph::EdgeId;
 using graph::NodeId;
 
-bool is_destination_based(const DiGraph& g, const Routing& routing,
-                          double tolerance) {
-  for (NodeId t = 0; t < g.num_nodes(); ++t) {
-    // Compare every source's ratios against the first source != t.
-    NodeId reference = (t == 0) ? 1 : 0;
-    for (NodeId s = 0; s < g.num_nodes(); ++s) {
-      if (s == t || s == reference) continue;
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (std::abs(routing.ratio(s, t, e) -
-                     routing.ratio(reference, t, e)) > tolerance) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
 std::vector<FlowTableEntry> to_flow_tables(const DiGraph& g,
                                            const Routing& routing) {
-  if (!is_destination_based(g, routing)) {
-    throw std::invalid_argument(
-        "to_flow_tables: routing is not destination-based");
-  }
   std::vector<FlowTableEntry> tables;
   for (NodeId t = 0; t < g.num_nodes(); ++t) {
-    const NodeId source = (t == 0) ? 1 : 0;  // representative source
+    const auto ratios = routing.dest_ratios(t);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (v == t) continue;
       FlowTableEntry entry;
       entry.node = v;
       entry.destination = t;
       for (EdgeId e : g.out_edges(v)) {
-        const double share = routing.ratio(source, t, e);
+        const double share = ratios[static_cast<size_t>(e)];
         if (share > 0.0) {
           entry.next_hops.push_back(NextHop{e, g.edge(e).dst, share});
         }

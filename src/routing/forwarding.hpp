@@ -1,11 +1,10 @@
 // Forwarding-table export (paper §IX further work: deploying the learned
 // strategies in real-world SDN systems).
 //
-// A destination-based routing — which every strategy this library
-// produces is — compiles directly into per-switch flow tables: for each
-// (node, destination) the set of next hops with their traffic shares,
-// which maps onto OpenFlow group tables with select buckets or onto
-// weighted-ECMP entries.
+// A Routing is destination-based by construction, so it compiles directly
+// into per-switch flow tables: for each (node, destination) the set of
+// next hops with their traffic shares, which maps onto OpenFlow group
+// tables with select buckets or onto weighted-ECMP entries.
 #pragma once
 
 #include <string>
@@ -28,14 +27,8 @@ struct FlowTableEntry {
   std::vector<NextHop> next_hops;  // shares sum to 1 when non-empty
 };
 
-// True if every flow (s,t) sharing a destination t uses identical
-// splitting ratios — the precondition for per-destination tables.
-bool is_destination_based(const graph::DiGraph& g, const Routing& routing,
-                          double tolerance = 1e-9);
-
-// Compiles a destination-based routing into flow tables (one entry per
-// (node, destination) pair with at least one next hop).  Throws
-// std::invalid_argument if the routing is not destination-based.
+// Compiles a routing into flow tables: one entry per (node, destination)
+// pair with at least one next hop, read from row `destination`.
 std::vector<FlowTableEntry> to_flow_tables(const graph::DiGraph& g,
                                            const Routing& routing);
 

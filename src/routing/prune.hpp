@@ -1,4 +1,9 @@
-// Per-flow DAG pruning (paper §VI, Figure 3).
+// Per-flow DAG pruning (paper §VI, Figure 3) — reference / ablation only.
+//
+// Production softmin_routing always uses the downhill DAG, built once per
+// destination (softmin.hpp).  These per-(source, sink) masks feed the
+// per-pair reference translation (reference.hpp) and bench_prune_ablation;
+// they are part of gddr_routing_reference.
 //
 // Softmin routing derives splitting ratios from edge weights, but raw
 // softmin ratios can create routing loops.  The paper converts the graph

@@ -19,40 +19,49 @@ using traffic::DemandMatrix;
 Routing::Routing(int num_nodes, int num_edges)
     : n_(num_nodes),
       ne_(num_edges),
-      ratios_(static_cast<size_t>(num_nodes) * static_cast<size_t>(num_nodes),
-              std::vector<double>(static_cast<size_t>(num_edges), 0.0)) {}
+      ratios_(static_cast<size_t>(num_nodes) * static_cast<size_t>(num_edges),
+              0.0) {}
 
-void Routing::set_ratio(int s, int t, EdgeId e, double value) {
+void Routing::set_ratio(int t, EdgeId e, double value) {
   if (value < -1e-12 || value > 1.0 + 1e-12) {
     throw std::invalid_argument("Routing::set_ratio: ratio outside [0,1]");
   }
-  ratios_[static_cast<size_t>(flow_index(s, t))][static_cast<size_t>(e)] =
-      std::clamp(value, 0.0, 1.0);
+  ratios_[index(t, e)] = std::clamp(value, 0.0, 1.0);
 }
 
 namespace {
 
-// Propagates `amount` units of flow (s,t) through the routing's positive
-// edges, adding to `load`.  The flow's edge subgraph must be acyclic; a
-// topological sweep in distance order is not available (ratios are
-// arbitrary), so Kahn's algorithm runs on the positive-ratio subgraph.
-// Returns the amount absorbed at t.
-double propagate_flow(const DiGraph& g, const Routing& routing, NodeId s,
-                      NodeId t, double amount, std::vector<double>& load,
-                      bool strict) {
-  const auto& ratios = routing.flow_ratios(s, t);
-  std::vector<bool> mask(static_cast<size_t>(g.num_edges()), false);
+// True when flow (s,t) has demand.  Written as !(d <= 0) so that a NaN
+// demand counts, exactly as simulate() injects it.
+bool has_demand(const DemandMatrix& dm, NodeId s, NodeId t) {
+  return s != t && !(dm.at(s, t) <= 0.0);
+}
+
+bool has_demand_to(const DemandMatrix& dm, NodeId t) {
+  for (NodeId s = 0; s < dm.num_nodes(); ++s) {
+    if (has_demand(dm, s, t)) return true;
+  }
+  return false;
+}
+
+// Propagates the per-node injections bound for `t` through row t's
+// positive edges, adding to `load`.  The row's edge subgraph must be
+// acyclic; a topological sweep in distance order is not available (ratios
+// are arbitrary), so Kahn's algorithm runs on the positive-ratio subgraph.
+// `node_amount` holds the injections on entry and is consumed.  Returns
+// the amount absorbed at t.
+double propagate_destination(const DiGraph& g, std::span<const double> ratios,
+                             NodeId t, std::vector<double>& node_amount,
+                             std::vector<bool>& mask,
+                             std::vector<double>& load, bool strict) {
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (ratios[static_cast<size_t>(e)] > 0.0) {
-      mask[static_cast<size_t>(e)] = true;
-    }
+    mask[static_cast<size_t>(e)] = ratios[static_cast<size_t>(e)] > 0.0;
   }
   const auto order = graph::topological_order(g, mask);
   if (!order.has_value()) {
     if (strict) {
-      throw std::runtime_error("simulate: flow (" + std::to_string(s) + "," +
-                               std::to_string(t) +
-                               ") has a routing loop");
+      throw std::runtime_error("simulate: destination " + std::to_string(t) +
+                               " has a routing loop");
     }
     return 0.0;
   }
@@ -60,8 +69,6 @@ double propagate_flow(const DiGraph& g, const Routing& routing, NodeId s,
   // subgraph or the sweep below drops/double-counts traffic.
   GDDR_VALIDATE(graph::check_topological_order(g, mask, *order,
                                                "routing/simulate/toposort"));
-  std::vector<double> node_amount(static_cast<size_t>(g.num_nodes()), 0.0);
-  node_amount[static_cast<size_t>(s)] = amount;
   double absorbed = 0.0;
   for (NodeId v : *order) {
     const double a = node_amount[static_cast<size_t>(v)];
@@ -94,16 +101,27 @@ SimulationResult simulate(const DiGraph& g, const Routing& routing,
   SimulationResult result;
   result.link_load.assign(static_cast<size_t>(g.num_edges()), 0.0);
 
+  std::vector<double> node_amount(static_cast<size_t>(g.num_nodes()));
+  std::vector<bool> mask(static_cast<size_t>(g.num_edges()));
   double injected = 0.0;
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      if (s == t) continue;
-      const double d = dm.at(s, t);
-      if (d <= 0.0) continue;
+  for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    // Every source bound for t shares row t, so their demands merge into
+    // one injection vector and one sweep.
+    bool any = false;
+    for (NodeId s = 0; s < g.num_nodes(); ++s) {
+      const double d = s == t ? 0.0 : dm.at(s, t);
+      if (d <= 0.0) {
+        node_amount[static_cast<size_t>(s)] = 0.0;
+        continue;
+      }
+      node_amount[static_cast<size_t>(s)] = d;
       injected += d;
-      result.delivered += propagate_flow(g, routing, s, t, d,
-                                         result.link_load, options.strict);
+      any = true;
     }
+    if (!any) continue;
+    result.delivered +=
+        propagate_destination(g, routing.dest_ratios(t), t, node_amount, mask,
+                              result.link_load, options.strict);
   }
   if (options.strict && injected > 0.0) {
     const double loss = std::abs(injected - result.delivered) / injected;
@@ -136,49 +154,52 @@ bool validate(const DiGraph& g, const Routing& routing,
     if (error != nullptr) *error = msg;
     return false;
   };
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      if (s == t || dm.at(s, t) <= 0.0) continue;
-      const auto& ratios = routing.flow_ratios(s, t);
-      // Constraint (2): absorption at the destination.
-      for (EdgeId e : g.out_edges(t)) {
-        if (ratios[static_cast<size_t>(e)] > 1e-9) {
-          return fail("flow (" + std::to_string(s) + "," + std::to_string(t) +
-                      ") forwards traffic out of its destination");
+  const auto n = static_cast<size_t>(g.num_nodes());
+  std::vector<bool> reaches(n);
+  std::vector<NodeId> frontier;
+  for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    if (!has_demand_to(dm, t)) continue;
+    const auto ratios = routing.dest_ratios(t);
+    // Constraint (2): absorption at the destination.
+    for (EdgeId e : g.out_edges(t)) {
+      if (ratios[static_cast<size_t>(e)] > 1e-9) {
+        return fail("destination " + std::to_string(t) +
+                    " forwards traffic out of the destination");
+      }
+    }
+    // Constraint (1): conservation at vertices that carry traffic.  Which
+    // vertices carry traffic depends on the upstream ratios, so search
+    // positive-ratio edges from every source with demand to t (the search
+    // tolerates cycles: validate() must not crash on invalid input).
+    std::fill(reaches.begin(), reaches.end(), false);
+    frontier.clear();
+    for (NodeId s = 0; s < g.num_nodes(); ++s) {
+      if (has_demand(dm, s, t)) {
+        reaches[static_cast<size_t>(s)] = true;
+        frontier.push_back(s);
+      }
+    }
+    while (!frontier.empty()) {
+      const NodeId v = frontier.back();
+      frontier.pop_back();
+      for (EdgeId e : g.out_edges(v)) {
+        const NodeId u = g.edge(e).dst;
+        if (ratios[static_cast<size_t>(e)] > 0.0 &&
+            !reaches[static_cast<size_t>(u)]) {
+          reaches[static_cast<size_t>(u)] = true;
+          frontier.push_back(u);
         }
       }
-      // Constraint (1): conservation at vertices that carry traffic.  Which
-      // vertices carry traffic depends on the upstream ratios, so propagate
-      // reachability through positive-ratio edges from s.
-      std::vector<bool> reaches(static_cast<size_t>(g.num_nodes()), false);
-      reaches[static_cast<size_t>(s)] = true;
-      // Positive-ratio subgraph is small; a fixed-point sweep suffices and
-      // tolerates cycles (validate() must not crash on invalid input).
-      for (int pass = 0; pass < g.num_nodes(); ++pass) {
-        bool changed = false;
-        for (EdgeId e = 0; e < g.num_edges(); ++e) {
-          if (ratios[static_cast<size_t>(e)] > 0.0) {
-            const auto& ed = g.edge(e);
-            if (reaches[static_cast<size_t>(ed.src)] &&
-                !reaches[static_cast<size_t>(ed.dst)]) {
-              reaches[static_cast<size_t>(ed.dst)] = true;
-              changed = true;
-            }
-          }
-        }
-        if (!changed) break;
+    }
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (!reaches[static_cast<size_t>(v)] || v == t) continue;
+      double sum = 0.0;
+      for (EdgeId e : g.out_edges(v)) {
+        sum += ratios[static_cast<size_t>(e)];
       }
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (!reaches[static_cast<size_t>(v)] || v == t) continue;
-        double sum = 0.0;
-        for (EdgeId e : g.out_edges(v)) {
-          sum += ratios[static_cast<size_t>(e)];
-        }
-        if (std::abs(sum - 1.0) > 1e-6) {
-          return fail("flow (" + std::to_string(s) + "," + std::to_string(t) +
-                      ") ratios at vertex " + std::to_string(v) + " sum to " +
-                      std::to_string(sum));
-        }
+      if (std::abs(sum - 1.0) > 1e-6) {
+        return fail("destination " + std::to_string(t) + ": ratios at vertex " +
+                    std::to_string(v) + " sum to " + std::to_string(sum));
       }
     }
   }
@@ -197,27 +218,24 @@ bool validate_for_serving(const DiGraph& g, const Routing& routing,
       dm.num_nodes() != g.num_nodes()) {
     return fail("routing/demand size does not match the graph");
   }
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      if (s == t || dm.at(s, t) <= 0.0) continue;
-      const auto& ratios = routing.flow_ratios(s, t);
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        const double r = ratios[static_cast<size_t>(e)];
-        // Written to also reject NaN (every comparison with NaN is false).
-        // NaN ratios are the one corruption strict simulation cannot see:
-        // a NaN load poisons `delivered`, and the conservation comparison
-        // against NaN is silently false.
-        if (!(r >= 0.0 && r <= 1.0)) {
-          return fail("flow (" + std::to_string(s) + "," + std::to_string(t) +
-                      ") has ratio " + std::to_string(r) + " on edge " +
-                      std::to_string(e));
-        }
+  for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    if (!has_demand_to(dm, t)) continue;
+    const auto ratios = routing.dest_ratios(t);
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const double r = ratios[static_cast<size_t>(e)];
+      // Written to also reject NaN (every comparison with NaN is false).
+      // NaN ratios are the one corruption strict simulation cannot see:
+      // a NaN load poisons `delivered`, and the conservation comparison
+      // against NaN is silently false.
+      if (!(r >= 0.0 && r <= 1.0)) {
+        return fail("destination " + std::to_string(t) + " has ratio " +
+                    std::to_string(r) + " on edge " + std::to_string(e));
       }
-      for (EdgeId e : g.out_edges(t)) {
-        if (ratios[static_cast<size_t>(e)] > 1e-9) {
-          return fail("flow (" + std::to_string(s) + "," + std::to_string(t) +
-                      ") forwards traffic out of its destination");
-        }
+    }
+    for (EdgeId e : g.out_edges(t)) {
+      if (ratios[static_cast<size_t>(e)] > 1e-9) {
+        return fail("destination " + std::to_string(t) +
+                    " forwards traffic out of the destination");
       }
     }
   }

@@ -19,62 +19,55 @@ void check_softmin_routing(const DiGraph& g, const Routing& routing,
   const auto unit = graph::unit_weights(g);
   std::vector<bool> positive(static_cast<std::size_t>(g.num_edges()));
   for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    const auto ratios = routing.dest_ratios(t);
     // Connectivity (not distance) is what matters here, so unit weights
     // give the same reachable set as the translation's weighted Dijkstra.
     const auto reach = graph::dijkstra_to(g, t, unit);
-    for (NodeId s = 0; s < g.num_nodes(); ++s) {
-      if (s == t) continue;
-      const auto& ratios = routing.flow_ratios(s, t);
-      const bool reachable =
-          reach.dist[static_cast<std::size_t>(s)] != graph::kInfDist;
-      double mass = 0.0;
-      for (const double r : ratios) mass += r;
-      if (!reachable) {
-        if (mass != 0.0) {
-          violate_invariant("no ratios for unreachable sources", label,
-                            describe("src", s, "dest", t, "mass", mass));
+    // Absorption: nothing leaves the destination.
+    for (EdgeId e : g.out_edges(t)) {
+      if (ratios[static_cast<std::size_t>(e)] != 0.0) {
+        violate_invariant(
+            "destination absorbs all traffic", label,
+            describe("dest", t, "edge", e, "ratio",
+                     ratios[static_cast<std::size_t>(e)]));
+      }
+    }
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (v == t) continue;
+      double sum = 0.0;
+      bool any = false;
+      for (EdgeId e : g.out_edges(v)) {
+        const double r = ratios[static_cast<std::size_t>(e)];
+        if (r < -tol || r > 1.0 + tol) {
+          violate_invariant("every ratio lies in [0, 1]", label,
+                            describe("dest", t, "vertex", v, "edge", e,
+                                     "ratio", r));
+        }
+        if (r > 0.0) any = true;
+        sum += r;
+      }
+      if (reach.dist[static_cast<std::size_t>(v)] == graph::kInfDist) {
+        if (sum != 0.0) {
+          violate_invariant("no ratios at unreachable vertices", label,
+                            describe("dest", t, "vertex", v, "mass", sum));
         }
         continue;
       }
-      // Absorption: nothing leaves the destination.
-      for (EdgeId e : g.out_edges(t)) {
-        if (ratios[static_cast<std::size_t>(e)] != 0.0) {
-          violate_invariant(
-              "destination absorbs all traffic", label,
-              describe("src", s, "dest", t, "edge", e, "ratio",
-                       ratios[static_cast<std::size_t>(e)]));
-        }
-      }
       // Row-stochastic splitting at every vertex with out-mass.
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (v == t) continue;
-        double sum = 0.0;
-        bool any = false;
-        for (EdgeId e : g.out_edges(v)) {
-          const double r = ratios[static_cast<std::size_t>(e)];
-          if (r < -tol || r > 1.0 + tol) {
-            violate_invariant("every ratio lies in [0, 1]", label,
-                              describe("src", s, "dest", t, "vertex", v,
-                                       "edge", e, "ratio", r));
-          }
-          if (r > 0.0) any = true;
-          sum += r;
-        }
-        if (any && std::abs(sum - 1.0) > tol) {
-          violate_invariant("out-ratios are row-stochastic", label,
-                            describe("src", s, "dest", t, "vertex", v, "sum",
-                                     sum, "tol", tol));
-        }
+      if (any && std::abs(sum - 1.0) > tol) {
+        violate_invariant("out-ratios are row-stochastic", label,
+                          describe("dest", t, "vertex", v, "sum", sum, "tol",
+                                   tol));
       }
-      // Acyclicity of the positive-ratio subgraph.
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        positive[static_cast<std::size_t>(e)] =
-            ratios[static_cast<std::size_t>(e)] > 0.0;
-      }
-      if (graph::has_cycle(g, positive)) {
-        violate_invariant("positive-ratio subgraph is a DAG", label,
-                          describe("src", s, "dest", t));
-      }
+    }
+    // Acyclicity of the positive-ratio subgraph.
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      positive[static_cast<std::size_t>(e)] =
+          ratios[static_cast<std::size_t>(e)] > 0.0;
+    }
+    if (graph::has_cycle(g, positive)) {
+      violate_invariant("positive-ratio subgraph is a DAG", label,
+                        describe("dest", t));
     }
   }
 }

@@ -11,15 +11,17 @@
 
 namespace gddr::routing {
 
-// The §IV-A validity contract of a softmin-translated routing, per flow:
-//  * absorption  — no flow forwards traffic out of its own destination;
-//  * stochastic  — at every vertex with positive out-mass for flow (s,t),
-//                  the out-edge ratios sum to 1 within `tol` and each ratio
+// The §IV-A validity contract of a destination-based routing, per
+// destination t (row t of the table):
+//  * absorption  — t forwards none of its own traffic;
+//  * stochastic  — at every vertex with positive out-mass in row t, the
+//                  out-edge ratios sum to 1 within `tol` and each ratio
 //                  lies in [0, 1];
-//  * reachability — a source that cannot reach t carries no ratios at all
-//                  (the downhill fast path must skip it, PR 3's bug);
-//  * acyclicity  — every flow's positive-ratio edge set is a DAG, so
-//                  simulate() can propagate without loops.
+//  * reachability — a vertex that cannot reach t carries no ratios toward
+//                  it (the translation must skip such vertices, not invent
+//                  splits for them);
+//  * acyclicity  — row t's positive-ratio edge set is a DAG, so simulate()
+//                  can propagate without loops.
 void check_softmin_routing(const graph::DiGraph& g, const Routing& routing,
                            double tol, std::string_view label);
 

@@ -1,18 +1,21 @@
 // Softmin routing translation (paper §VI, Figure 2, Equation 3).
 //
 // Converts a vector of learned edge weights into a full routing strategy:
-// for each flow (s,t) the graph is pruned to a DAG, each vertex's distance
-// to the sink is computed on the pruned graph, and the splitting ratio of
-// each out-edge is softmin(edge weight + neighbour's distance) — so
+// for each destination t the graph is pruned to the downhill DAG (keep
+// edge (u,v) iff dist(u->t) > dist(v->t)), and the splitting ratio of each
+// out-edge is softmin(edge weight + neighbour's distance to t) — so
 // shorter detours receive exponentially more traffic, controlled by the
-// spread parameter gamma.
+// spread parameter gamma.  The downhill DAG depends only on t, so every
+// source bound for t shares the same ratios and the translation writes
+// one row of the destination-based Routing per destination.  The paper's
+// per-flow Figure-3 pruning and the other ablation modes live in
+// routing/reference.hpp.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "routing/prune.hpp"
 #include "routing/routing.hpp"
 
 namespace gddr::routing {
@@ -26,41 +29,25 @@ struct SoftminOptions {
   // paths; smaller gamma spreads it.  Paper leaves the value learned or
   // tuned; 2.0 is a robust default (see bench_gamma_ablation).
   double gamma = 2.0;
-  // DAG conversion algorithm.  The default is the downhill
-  // (distance-to-sink) DAG: it provably retains every progress-making
-  // edge, giving softmin real multipath to work with, and admits an exact
-  // destination-based fast path.  kFrontierMeet is the paper's Figure-3
-  // algorithm; under widespread weight ties it degenerates to near-trees
-  // (see bench_prune_ablation), which is why it is not the default here.
-  PruneMode prune_mode = PruneMode::kDistanceToSink;
   // Splitting ratios below this are zeroed and the remainder renormalised;
-  // keeps per-flow DAGs sparse without measurably changing U_max.
+  // keeps per-destination DAGs sparse without measurably changing U_max.
   double ratio_floor = 1e-6;
 };
 
-// Derives a complete routing for every (s,t) pair from per-edge weights
-// (size num_edges, all > 0).  The result is loop-free per flow and
-// satisfies the §IV-A constraints for any demand matrix.
+// Derives a complete routing for every destination from per-edge weights
+// (size num_edges, all > 0).  The result is loop-free per destination and
+// satisfies the §IV-A constraints for any demand matrix between connected
+// pairs.
 Routing softmin_routing(const graph::DiGraph& g,
                         const std::vector<double>& weights,
                         const SoftminOptions& options);
 Routing softmin_routing(const graph::DiGraph& g,
                         const std::vector<double>& weights);
 
-// Reference per-pair translation: prunes a DAG for every (s,t) flow under
-// `options.prune_mode` and derives that pair's ratios on it, skipping
-// pairs where t is unreachable from s.  softmin_routing dispatches here
-// for every mode except kDistanceToSink, whose destination-based fast
-// path must produce identical ratios at traffic-carrying vertices (a
-// property the tests check edge-for-edge).
-Routing softmin_routing_generic(const graph::DiGraph& g,
-                                const std::vector<double>& weights,
-                                const SoftminOptions& options);
-
 // Derives a routing from *per-destination* edge weights — the paper's
 // §V-C intermediate action space of size |V| x |E| (between the full
 // per-flow space and the single-weight-vector space).  Each destination t
-// is translated independently with its own weight vector
+// is translated independently into row t with its own weight vector
 // `weights_by_dest[t]` using the downhill (distance-to-sink) DAG; rows
 // may be empty for destinations that receive no traffic, in which case
 // they fall back to unit weights.

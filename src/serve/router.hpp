@@ -149,7 +149,9 @@ struct RouterConfig {
   double node_feature_scale = 1.0;
   double flat_feature_scale = 1.0;
   // The last-known-good routing is refreshed every this many rung-1
-  // successes (copying a Routing is not free; 1 refreshes every time).
+  // successes (1 refreshes every time).  A refresh copies one |V| x |E|
+  // ratio table (0.3 MB at 100 nodes / 394 edges) under the entry's
+  // lock, so sparser refreshes mainly keep workers off that lock.
   int lkg_refresh_every = 16;
 };
 

@@ -77,8 +77,8 @@ struct TopologyEntry {
       successes_since_refresh_ = 0;
     }
     // Called after every rung-1 success.  Stores `r` when nothing is
-    // stored yet or every `refresh_every` successes (copying a Routing
-    // is not free; 1 refreshes every time).
+    // stored yet or every `refresh_every` successes (1 refreshes every
+    // time; each refresh copies one |V| x |E| ratio table under mu_).
     void offer(const routing::Routing& r, int refresh_every)
         GDDR_EXCLUDES(mu_) {
       const util::MutexLock lock(mu_);

@@ -314,9 +314,9 @@ TEST(RoutingInvariants, NonStochasticRowCaught) {
                                                        "test/routing"));
   // Halve one positive ratio: the row no longer sums to 1.
   for (gddr::graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    const double r = routing.ratio(0, 2, e);
+    const double r = routing.ratio(2, e);
     if (r > 0.0) {
-      routing.set_ratio(0, 2, e, r * 0.5);
+      routing.set_ratio(2, e, r * 0.5);
       break;
     }
   }
@@ -329,15 +329,15 @@ TEST(RoutingInvariants, NonStochasticRowCaught) {
 }
 
 TEST(RoutingInvariants, CyclicRatioGraphCaught) {
-  // Flow (0,2) routed 0 -> 1 -> 0 ... : a deliberate 2-cycle "DAG".
+  // Destination 2 routed 0 -> 1 -> 0 ... : a deliberate 2-cycle "DAG".
   gddr::graph::DiGraph g(3);
   const auto e01 = g.add_edge(0, 1, 1.0);
   const auto e10 = g.add_edge(1, 0, 1.0);
   const auto e12 = g.add_edge(1, 2, 1.0);
   gddr::routing::Routing routing(g.num_nodes(), g.num_edges());
-  routing.set_ratio(0, 2, e01, 1.0);
-  routing.set_ratio(0, 2, e10, 0.5);
-  routing.set_ratio(0, 2, e12, 0.5);
+  routing.set_ratio(2, e01, 1.0);
+  routing.set_ratio(2, e10, 0.5);
+  routing.set_ratio(2, e12, 0.5);
   try {
     gddr::routing::check_softmin_routing(g, routing, 1e-9, "test/routing");
     FAIL() << "routing cycle not caught";
@@ -347,14 +347,15 @@ TEST(RoutingInvariants, CyclicRatioGraphCaught) {
 }
 
 TEST(RoutingInvariants, RatiosForUnreachableSourceCaught) {
-  // Node 3 has no outgoing edges: it cannot reach anything, so flow (3,2)
-  // must carry no ratios.
+  // Nothing enters node 3, so no vertex can reach it and no vertex may
+  // carry ratios toward destination 3.
   gddr::graph::DiGraph g(4);
   const auto e01 = g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
   g.add_edge(2, 0, 1.0);
+  g.add_edge(3, 0, 1.0);
   gddr::routing::Routing routing(g.num_nodes(), g.num_edges());
-  routing.set_ratio(3, 2, e01, 1.0);
+  routing.set_ratio(3, e01, 1.0);
   try {
     gddr::routing::check_softmin_routing(g, routing, 1e-9, "test/routing");
     FAIL() << "unreachable-source ratios not caught";

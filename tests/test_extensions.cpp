@@ -116,11 +116,19 @@ TEST(Serialize, CorruptMagicRejected) {
 
 // ---------------- forwarding tables ----------------
 
-TEST(Forwarding, SoftminRoutingIsDestinationBased) {
+TEST(Forwarding, SoftminTablesMatchRoutingRows) {
   const DiGraph g = topo::abilene();
   const std::vector<double> w(static_cast<size_t>(g.num_edges()), 1.0);
   const auto r = routing::softmin_routing(g, w);
-  EXPECT_TRUE(routing::is_destination_based(g, r));
+  const auto tables = routing::to_flow_tables(g, r);
+  // Abilene is strongly connected: every (node, destination) pair routes.
+  EXPECT_EQ(tables.size(),
+            static_cast<size_t>(g.num_nodes() * (g.num_nodes() - 1)));
+  for (const auto& entry : tables) {
+    for (const auto& hop : entry.next_hops) {
+      EXPECT_EQ(hop.share, r.ratio(entry.destination, hop.edge));
+    }
+  }
 }
 
 TEST(Forwarding, TablesCoverEveryReachableDestination) {
@@ -160,22 +168,26 @@ TEST(Forwarding, EcmpTablesSplit) {
   EXPECT_TRUE(found);
 }
 
-TEST(Forwarding, NonDestinationBasedRejected) {
-  DiGraph g(3);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(0, 2, 1.0);
-  routing::Routing r(3, 3);
-  // Flow (0,2) splits; a hypothetical flow (1,2)... make source-dependent
-  // ratios at node 0 for destination 2 vs what another source would use.
-  r.set_ratio(0, 2, 0, 0.5);
-  r.set_ratio(0, 2, 2, 0.5);
-  r.set_ratio(0, 2, 1, 1.0);
-  r.set_ratio(1, 2, 1, 1.0);
-  // Node 0's ratios for dst 2 differ depending on the source (source 1
-  // never uses node 0, all-zero there) -> not destination-based.
-  EXPECT_FALSE(routing::is_destination_based(g, r));
-  EXPECT_THROW(routing::to_flow_tables(g, r), std::invalid_argument);
+TEST(Forwarding, PartitionedTopologyExports) {
+  // Two components 0<->1 and 2<->3: no source reaches every destination.
+  // Export must not depend on any one source's view of the routing.
+  DiGraph g(4);
+  g.add_edge(0, 1, 1.0);  // e0
+  g.add_edge(1, 0, 1.0);  // e1
+  g.add_edge(2, 3, 1.0);  // e2
+  g.add_edge(3, 2, 1.0);  // e3
+  const std::vector<double> w(static_cast<size_t>(g.num_edges()), 1.0);
+  const auto r = routing::softmin_routing(g, w);
+  std::vector<routing::FlowTableEntry> tables;
+  ASSERT_NO_THROW(tables = routing::to_flow_tables(g, r));
+  // One entry per connected (node, destination) pair, a single full hop.
+  ASSERT_EQ(tables.size(), 4U);
+  for (const auto& entry : tables) {
+    EXPECT_EQ(entry.node / 2, entry.destination / 2);
+    ASSERT_EQ(entry.next_hops.size(), 1U);
+    EXPECT_EQ(entry.next_hops[0].neighbour, entry.destination);
+    EXPECT_NEAR(entry.next_hops[0].share, 1.0, 1e-12);
+  }
 }
 
 TEST(Forwarding, FormatMentionsDestinations) {

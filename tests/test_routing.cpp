@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -7,6 +8,7 @@
 #include "mcf/optimal.hpp"
 #include "routing/baselines.hpp"
 #include "routing/prune.hpp"
+#include "routing/reference.hpp"
 #include "routing/routing.hpp"
 #include "routing/softmin.hpp"
 #include "topo/generators.hpp"
@@ -105,15 +107,18 @@ TEST(WeightsFromActions, BadRangeThrows) {
 
 TEST(Routing, SetAndGetRatios) {
   Routing r(4, 4);
-  r.set_ratio(0, 3, 0, 0.25);
-  EXPECT_DOUBLE_EQ(r.ratio(0, 3, 0), 0.25);
-  EXPECT_DOUBLE_EQ(r.ratio(0, 3, 1), 0.0);
+  r.set_ratio(3, 0, 0.25);
+  EXPECT_DOUBLE_EQ(r.ratio(3, 0), 0.25);
+  EXPECT_DOUBLE_EQ(r.ratio(3, 1), 0.0);
+  // The row view aliases the same table.
+  EXPECT_DOUBLE_EQ(r.dest_ratios(3)[0], 0.25);
+  EXPECT_DOUBLE_EQ(r.dest_ratios(2)[0], 0.0);
 }
 
 TEST(Routing, OutOfRangeRatioThrows) {
   Routing r(4, 4);
-  EXPECT_THROW(r.set_ratio(0, 3, 0, 1.5), std::invalid_argument);
-  EXPECT_THROW(r.set_ratio(0, 3, 0, -0.5), std::invalid_argument);
+  EXPECT_THROW(r.set_ratio(3, 0, 1.5), std::invalid_argument);
+  EXPECT_THROW(r.set_ratio(3, 0, -0.5), std::invalid_argument);
 }
 
 TEST(Validate, AcceptsShortestPathRouting) {
@@ -130,8 +135,8 @@ TEST(Validate, RejectsLeakyRouting) {
   DemandMatrix dm(4);
   dm.set(0, 3, 1.0);
   Routing r(4, 4);
-  r.set_ratio(0, 3, 0, 0.5);  // only half the traffic leaves vertex 0
-  r.set_ratio(0, 3, 1, 1.0);
+  r.set_ratio(3, 0, 0.5);  // only half the traffic leaves vertex 0
+  r.set_ratio(3, 1, 1.0);
   std::string error;
   EXPECT_FALSE(validate(g, r, dm, &error));
   EXPECT_NE(error.find("sum"), std::string::npos);
@@ -145,8 +150,8 @@ TEST(Validate, RejectsForwardingOutOfDestination) {
   DemandMatrix dm(3);
   dm.set(0, 1, 1.0);
   Routing r(3, 3);
-  r.set_ratio(0, 1, 0, 1.0);
-  r.set_ratio(0, 1, 2, 1.0);  // destination 1 forwards back to 0
+  r.set_ratio(1, 0, 1.0);
+  r.set_ratio(1, 2, 1.0);  // destination 1 forwards back to 0
   EXPECT_FALSE(validate(g, r, dm, nullptr));
 }
 
@@ -157,8 +162,8 @@ TEST(Simulate, SingleFlowSinglePath) {
   DemandMatrix dm(4);
   dm.set(0, 3, 5.0);
   Routing r(4, 4);
-  r.set_ratio(0, 3, 0, 1.0);
-  r.set_ratio(0, 3, 1, 1.0);
+  r.set_ratio(3, 0, 1.0);
+  r.set_ratio(3, 1, 1.0);
   const auto sim = simulate(g, r, dm);
   EXPECT_NEAR(sim.u_max, 0.5, 1e-12);
   EXPECT_NEAR(sim.delivered, 5.0, 1e-12);
@@ -171,10 +176,10 @@ TEST(Simulate, SplitFlowHalvesUtilisation) {
   DemandMatrix dm(4);
   dm.set(0, 3, 8.0);
   Routing r(4, 4);
-  r.set_ratio(0, 3, 0, 0.5);
-  r.set_ratio(0, 3, 2, 0.5);
-  r.set_ratio(0, 3, 1, 1.0);
-  r.set_ratio(0, 3, 3, 1.0);
+  r.set_ratio(3, 0, 0.5);
+  r.set_ratio(3, 2, 0.5);
+  r.set_ratio(3, 1, 1.0);
+  r.set_ratio(3, 3, 1.0);
   const auto sim = simulate(g, r, dm);
   EXPECT_NEAR(sim.u_max, 0.4, 1e-12);
 }
@@ -187,10 +192,9 @@ TEST(Simulate, MultiHopCascade) {
   DemandMatrix dm(3);
   dm.set(0, 2, 4.0);
   dm.set(1, 2, 3.0);
-  Routing r(3, 2);
-  r.set_ratio(0, 2, 0, 1.0);
-  r.set_ratio(0, 2, 1, 1.0);
-  r.set_ratio(1, 2, 1, 1.0);
+  Routing r(3, 2);  // both flows share destination 2's row
+  r.set_ratio(2, 0, 1.0);
+  r.set_ratio(2, 1, 1.0);
   const auto sim = simulate(g, r, dm);
   EXPECT_NEAR(sim.link_load[1], 7.0, 1e-12);
   EXPECT_NEAR(sim.u_max, 0.7, 1e-12);
@@ -204,9 +208,9 @@ TEST(Simulate, LoopRaises) {
   DemandMatrix dm(3);
   dm.set(0, 2, 1.0);
   Routing r(3, 3);
-  r.set_ratio(0, 2, 0, 1.0);
-  r.set_ratio(0, 2, 1, 0.5);
-  r.set_ratio(0, 2, 2, 0.5);
+  r.set_ratio(2, 0, 1.0);
+  r.set_ratio(2, 1, 0.5);
+  r.set_ratio(2, 2, 0.5);
   EXPECT_THROW(simulate(g, r, dm), std::runtime_error);
 }
 
@@ -215,7 +219,7 @@ TEST(Simulate, LostTrafficRaisesInStrictMode) {
   DemandMatrix dm(4);
   dm.set(0, 3, 2.0);
   Routing r(4, 4);
-  r.set_ratio(0, 3, 0, 1.0);  // traffic reaches vertex 1 and stops
+  r.set_ratio(3, 0, 1.0);  // traffic reaches vertex 1 and stops
   EXPECT_THROW(simulate(g, r, dm), std::runtime_error);
   SimulateOptions lax;
   lax.strict = false;
@@ -408,8 +412,8 @@ TEST(SoftminRouting, LowGammaSpreadsTraffic) {
   flat.gamma = 0.5;
   const Routing r = softmin_routing(g, weights, flat);
   // Both branches of the diamond carry traffic.
-  EXPECT_GT(r.ratio(0, 3, 0), 0.1);
-  EXPECT_GT(r.ratio(0, 3, 2), 0.1);
+  EXPECT_GT(r.ratio(3, 0), 0.1);
+  EXPECT_GT(r.ratio(3, 2), 0.1);
 }
 
 TEST(SoftminRouting, WeightSizeMismatchThrows) {
@@ -477,7 +481,7 @@ TEST(PerDestinationSoftmin, DistinctRowsAreMoreExpressive) {
   const Routing r = softmin_routing_per_destination(bidir, rows, sharp);
   // Flow (0,3) prefers via 1; if weights were shared, both destinations
   // would be forced through the same branch preference.
-  EXPECT_GT(r.ratio(0, 3, 0), 0.9);  // edge 0->1 dominates toward dest 3
+  EXPECT_GT(r.ratio(3, 0), 0.9);  // edge 0->1 dominates toward dest 3
   DemandMatrix dm(4);
   dm.set(0, 3, 1.0);
   dm.set(3, 0, 1.0);
@@ -548,11 +552,12 @@ TEST(Ecmp, NeverWorseThanSingleShortestPathOnDiamond) {
 
 TEST(UniformMultipath, DeliversAllTraffic) {
   const DiGraph g = topo::abilene();
-  const Routing r = uniform_multipath_routing(g, graph::unit_weights(g), 3);
+  const reference::PairRouting r =
+      reference::uniform_multipath_routing(g, graph::unit_weights(g), 3);
   util::Rng rng(8);
   const DemandMatrix dm =
       traffic::bimodal_matrix(g.num_nodes(), traffic::BimodalParams{}, rng);
-  const auto sim = simulate(g, r, dm);
+  const auto sim = reference::simulate(g, r, dm);
   EXPECT_NEAR(sim.delivered, dm.total(), dm.total() * 1e-6);
 }
 
@@ -562,8 +567,9 @@ TEST(UniformMultipath, KOneEqualsShortestPath) {
   util::Rng rng(9);
   const DemandMatrix dm =
       traffic::bimodal_matrix(g.num_nodes(), traffic::BimodalParams{}, rng);
-  const double u1 =
-      simulate(g, uniform_multipath_routing(g, w, 1), dm).u_max;
+  const double u1 = reference::simulate(
+                        g, reference::uniform_multipath_routing(g, w, 1), dm)
+                        .u_max;
   const double usp = simulate(g, shortest_path_routing(g, w), dm).u_max;
   EXPECT_NEAR(u1, usp, 1e-9);
 }
@@ -637,20 +643,21 @@ TEST(SchemeOrdering, OptimalIsLowerBound) {
   EXPECT_GE(u_sp, u_opt * (1.0 - 1e-9));
 }
 
-// ---------------- disconnected graphs: fast path vs generic ----------------
+// ---------------- disconnected graphs: production vs per-pair reference ----
 //
-// Regression tests for the prune-mode inconsistency: the downhill fast
-// path used to write splitting ratios for every source s != t, including
-// sources that cannot reach t, while the generic per-pair path skips
-// unreachable pairs — so the two paths produced different Routing
-// contents on any disconnected graph.
+// Regression tests for the prune-mode inconsistency: the downhill
+// translation used to write splitting ratios for sources that cannot reach
+// t, while the per-pair reference skips unreachable pairs — so the two
+// disagreed on any disconnected graph.  In the destination-based table a
+// source that cannot reach t must simply forward nothing toward t.
 
 // Two 2-node strongly-connected components plus an isolated vertex.  In a
 // 2-node component every vertex reaching t lies on the (single) s->t
-// downhill path, so fast and generic must agree on every single ratio;
-// larger components legitimately differ at non-traffic-carrying vertices
-// (see fill_destination_ratios), which is why exact comparison uses this
-// shape and the richer topology below compares simulated behaviour.
+// downhill path, so row t must equal flow (s,t)'s reference ratios on
+// every edge for every connected pair; larger components legitimately
+// differ at vertices that carry no (s,t) traffic, which is why exact
+// comparison uses this shape and the richer topology below compares
+// simulated behaviour.
 DiGraph two_islands() {
   DiGraph g(5);
   g.add_edge(0, 1, 10.0);  // e0, island A
@@ -660,20 +667,40 @@ DiGraph two_islands() {
   return g;                // node 4 is isolated
 }
 
+// Sum of row t's ratios over v's out-edges.
+double out_ratio_sum(const DiGraph& g, const Routing& r, int t, NodeId v) {
+  double sum = 0.0;
+  for (EdgeId e : g.out_edges(v)) sum += r.ratio(t, e);
+  return sum;
+}
+
 TEST(SoftminRouting, FastPathMatchesGenericOnDisconnectedGraph) {
   const DiGraph g = two_islands();
   const std::vector<double> w{1.0, 2.5, 0.7, 1.3};
-  SoftminOptions options;
-  options.prune_mode = PruneMode::kDistanceToSink;
-  const Routing fast = softmin_routing(g, w, options);
-  const Routing ref = softmin_routing_generic(g, w, options);
+  const Routing fast = softmin_routing(g, w, SoftminOptions{});
+  const reference::PairRouting ref = reference::softmin_routing_generic(
+      g, w, SoftminOptions{}, PruneMode::kDistanceToSink);
+  const std::vector<std::pair<NodeId, NodeId>> connected{
+      {0, 1}, {1, 0}, {2, 3}, {3, 2}};
+  for (const auto& [s, t] : connected) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_NEAR(fast.ratio(t, e), ref.ratio(s, t, e), 1e-12)
+          << "flow (" << s << "," << t << ") edge " << e;
+    }
+  }
+  // Every other pair is severed: the reference writes nothing for it, and
+  // the source forwards nothing toward t in the production row.
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
     for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      if (s == t) continue;
+      if (s == t || std::ranges::count(connected, std::pair{s, t}) > 0) {
+        continue;
+      }
       for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        EXPECT_NEAR(fast.ratio(s, t, e), ref.ratio(s, t, e), 1e-12)
+        EXPECT_EQ(ref.ratio(s, t, e), 0.0)
             << "flow (" << s << "," << t << ") edge " << e;
       }
+      EXPECT_EQ(out_ratio_sum(g, fast, t, s), 0.0)
+          << "flow (" << s << "," << t << ")";
     }
   }
 }
@@ -682,19 +709,23 @@ TEST(SoftminRouting, FastPathWritesNothingForUnreachablePairs) {
   const DiGraph g = two_islands();
   const std::vector<double> w{1.0, 1.0, 1.0, 1.0};
   const Routing r = softmin_routing(g, w, SoftminOptions{});
-  // Cross-island and isolated-vertex flows can carry no traffic; their
-  // ratio rows must be untouched everywhere in the graph.
+  // Cross-island and isolated-vertex flows can carry no traffic: their
+  // sources forward nothing toward the destination.
   const std::vector<std::pair<NodeId, NodeId>> unreachable{
       {0, 2}, {0, 3}, {2, 0}, {3, 1}, {0, 4}, {4, 0}, {4, 2}, {2, 4}};
   for (const auto& [s, t] : unreachable) {
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      EXPECT_EQ(r.ratio(s, t, e), 0.0)
+    for (EdgeId e : g.out_edges(s)) {
+      EXPECT_EQ(r.ratio(t, e), 0.0)
           << "flow (" << s << "," << t << ") edge " << e;
     }
   }
+  // Nothing can reach the isolated vertex: its row is untouched.
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_EQ(r.ratio(4, e), 0.0) << "edge " << e;
+  }
   // Within-island flows still route normally.
-  EXPECT_NEAR(r.ratio(0, 1, 0), 1.0, 1e-12);
-  EXPECT_NEAR(r.ratio(2, 3, 2), 1.0, 1e-12);
+  EXPECT_NEAR(r.ratio(1, 0), 1.0, 1e-12);
+  EXPECT_NEAR(r.ratio(3, 2), 1.0, 1e-12);
 }
 
 TEST(SoftminRouting, FastAndGenericSimulateIdenticallyOnDisconnectedDiamonds) {
@@ -713,10 +744,9 @@ TEST(SoftminRouting, FastAndGenericSimulateIdenticallyOnDisconnectedDiamonds) {
   add_diamond(4);
   const std::vector<double> w{1.0, 1.0, 1.2, 0.8, 2.0,
                               0.9, 1.1, 1.0, 1.0, 2.0};
-  SoftminOptions options;
-  options.prune_mode = PruneMode::kDistanceToSink;
-  const Routing fast = softmin_routing(g, w, options);
-  const Routing ref = softmin_routing_generic(g, w, options);
+  const Routing fast = softmin_routing(g, w, SoftminOptions{});
+  const reference::PairRouting ref = reference::softmin_routing_generic(
+      g, w, SoftminOptions{}, PruneMode::kDistanceToSink);
 
   DemandMatrix dm(8);
   dm.set(0, 3, 4.0);
@@ -724,7 +754,7 @@ TEST(SoftminRouting, FastAndGenericSimulateIdenticallyOnDisconnectedDiamonds) {
   dm.set(4, 7, 3.0);
   dm.set(6, 5, 2.0);
   const auto sim_fast = simulate(g, fast, dm);
-  const auto sim_ref = simulate(g, ref, dm);
+  const auto sim_ref = reference::simulate(g, ref, dm);
   EXPECT_NEAR(sim_fast.u_max, sim_ref.u_max, 1e-12);
   ASSERT_EQ(sim_fast.link_load.size(), sim_ref.link_load.size());
   for (std::size_t e = 0; e < sim_fast.link_load.size(); ++e) {
@@ -738,15 +768,7 @@ TEST(SoftminRouting, FastAndGenericSimulateIdenticallyOnDisconnectedDiamonds) {
 // Serving keeps translating routings while links and nodes fail, so the
 // softmin translation must stay well-formed on graphs where some pairs
 // have become unreachable: survivors keep row-stochastic splits, severed
-// pairs get all-zero ratios instead of garbage.
-
-// Sum of flow (s,t)'s ratios over v's out-edges.
-double out_ratio_sum(const DiGraph& g, const Routing& r, int s, int t,
-                     NodeId v) {
-  double sum = 0.0;
-  for (EdgeId e : g.out_edges(v)) sum += r.ratio(s, t, e);
-  return sum;
-}
+// sources forward nothing instead of garbage.
 
 TEST(DegradedTopology, EdgeRemovalZeroesSeveredPairsOnly) {
   // Line 0 -> 1 -> 2 plus a detour 0 -> 2: removing edge 1->2 severs only
@@ -762,11 +784,13 @@ TEST(DegradedTopology, EdgeRemovalZeroesSeveredPairsOnly) {
   const Routing r = softmin_routing(degraded, w);
 
   // Survivor (0, 2): row-stochastic at the source.
-  EXPECT_NEAR(out_ratio_sum(degraded, r, 0, 2, 0), 1.0, 1e-12);
-  // Severed (1, 2): every ratio exactly zero.
-  for (EdgeId e = 0; e < degraded.num_edges(); ++e) {
-    EXPECT_EQ(r.ratio(1, 2, e), 0.0) << "edge " << e;
-  }
+  EXPECT_NEAR(out_ratio_sum(degraded, r, 2, 0), 1.0, 1e-12);
+  // Severed (1, 2): the source forwards nothing toward 2, so a demand on
+  // it is lost, which strict simulation reports.
+  EXPECT_EQ(out_ratio_sum(degraded, r, 2, 1), 0.0);
+  DemandMatrix severed(3);
+  severed.set(1, 2, 1.0);
+  EXPECT_THROW(simulate(degraded, r, severed), std::runtime_error);
   // The severed pair must not break simulation of the survivors.
   DemandMatrix dm(3);
   dm.set(0, 2, 5.0);
@@ -787,12 +811,10 @@ TEST(DegradedTopology, SoftminOnPartitionedAbileneStaysRowStochastic) {
   const int n = degraded.num_nodes();
 
   for (int t = 1; t < n; ++t) {
-    // Unreachable from 0: all-zero rows everywhere.
-    for (EdgeId e = 0; e < degraded.num_edges(); ++e) {
-      EXPECT_EQ(r.ratio(0, t, e), 0.0);
-    }
+    // Unreachable from 0: 0 forwards nothing toward t.
+    EXPECT_EQ(out_ratio_sum(degraded, r, t, 0), 0.0);
     // Still reachable towards 0: the source row sums to one.
-    EXPECT_NEAR(out_ratio_sum(degraded, r, t, 0, t), 1.0, 1e-12);
+    EXPECT_NEAR(out_ratio_sum(degraded, r, 0, t), 1.0, 1e-12);
   }
 }
 
@@ -812,7 +834,7 @@ TEST(DegradedTopology, NodeRemovalRenumbersAndStillRoutes) {
   for (int s = 0; s < n; ++s) {
     for (int t = 0; t < n; ++t) {
       if (s == t) continue;
-      EXPECT_NEAR(out_ratio_sum(degraded, r, s, t, s), 1.0, 1e-12)
+      EXPECT_NEAR(out_ratio_sum(degraded, r, t, s), 1.0, 1e-12)
           << "pair (" << s << "," << t << ")";
       dm.set(s, t, 1.0);
     }
@@ -822,20 +844,21 @@ TEST(DegradedTopology, NodeRemovalRenumbersAndStillRoutes) {
 }
 
 TEST(DegradedTopology, GenericTranslationSkipsUnreachablePairs) {
-  // The per-pair reference path must handle unreachable pairs the same
-  // way as the destination-based fast path: skip, not throw.
+  // The per-pair reference must handle unreachable pairs the same way as
+  // the destination-based translation: skip, not throw.
   DiGraph g(3);
   g.add_edge(0, 1, 10.0);
   g.add_edge(1, 2, 10.0);  // nothing re-enters 0, so (1,0), (2,0) severed
   const std::vector<double> w{1.0, 1.0};
-  SoftminOptions options;
-  options.prune_mode = PruneMode::kFrontierMeet;
-  const Routing r = softmin_routing_generic(g, w, options);
+  const reference::PairRouting r = reference::softmin_routing_generic(
+      g, w, SoftminOptions{}, PruneMode::kFrontierMeet);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     EXPECT_EQ(r.ratio(1, 0, e), 0.0);
     EXPECT_EQ(r.ratio(2, 0, e), 0.0);
   }
-  EXPECT_NEAR(out_ratio_sum(g, r, 0, 2, 0), 1.0, 1e-12);
+  double sum = 0.0;
+  for (EdgeId e : g.out_edges(0)) sum += r.ratio(0, 2, e);
+  EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
 // ---------------- serving-side validation ----------------
@@ -854,7 +877,7 @@ TEST(ValidateForServing, AcceptsValidAndRejectsNaN) {
 
   // A NaN splitting ratio slips through simulate()'s conservation check
   // (NaN comparisons are false); validate_for_serving must catch it.
-  r.set_ratio(0, 2, 0, std::nan(""));
+  r.set_ratio(2, 0, std::nan(""));
   EXPECT_FALSE(validate_for_serving(g, r, dm, &error));
   EXPECT_NE(error.find("ratio"), std::string::npos) << error;
 }
@@ -871,7 +894,7 @@ TEST(ValidateForServing, RejectsForwardingOutOfDestination) {
 
   std::string error;
   ASSERT_TRUE(validate_for_serving(g, r, dm, &error)) << error;
-  r.set_ratio(0, 1, out, 0.5);  // destination must absorb, not forward
+  r.set_ratio(1, out, 0.5);  // destination must absorb, not forward
   EXPECT_FALSE(validate_for_serving(g, r, dm, &error));
   EXPECT_NE(error.find("destination"), std::string::npos) << error;
 }
@@ -880,8 +903,8 @@ TEST(ValidateForServing, IgnoresZeroDemandFlows) {
   DiGraph g(2);
   g.add_edge(0, 1, 10.0);
   Routing r(2, 1);
-  r.set_ratio(0, 1, 0, 0.25);  // not row-stochastic, but the flow is idle
-  DemandMatrix dm(2);          // all-zero demand
+  r.set_ratio(1, 0, 0.25);  // not row-stochastic, but the flow is idle
+  DemandMatrix dm(2);       // all-zero demand
   EXPECT_TRUE(validate_for_serving(g, r, dm, nullptr));
 }
 
@@ -898,8 +921,8 @@ TEST(InverseCapacityWeights, FavourFatLinks) {
 
   // Through softmin the fat parallel link takes the larger share.
   const Routing r = softmin_routing(g, w);
-  EXPECT_GT(r.ratio(0, 1, fat), r.ratio(0, 1, thin));
-  EXPECT_NEAR(r.ratio(0, 1, fat) + r.ratio(0, 1, thin), 1.0, 1e-12);
+  EXPECT_GT(r.ratio(1, fat), r.ratio(1, thin));
+  EXPECT_NEAR(r.ratio(1, fat) + r.ratio(1, thin), 1.0, 1e-12);
 }
 
 }  // namespace
