@@ -6,8 +6,11 @@
 // For each catalogue topology we generate the experiment traffic model and
 // report the mean U_max ratio of each non-learned scheme, plus the
 // FPTAS's estimate of the optimum as a solver cross-check (its ratio
-// column should sit within its 1/(1-3eps) guarantee of 1.0).
+// column should sit within its 1/(1-3eps) guarantee of 1.0).  Exits 1 if
+// a scheme beats the LP optimum (ratio < 1, so the LP was not optimal) or
+// the FPTAS/LP ratio leaves that guarantee.
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "core/evaluate.hpp"
@@ -42,6 +45,18 @@ int main(int argc, char** argv) {
   util::Table table({"topology", "|V|", "|E|", "shortest-path", "ECMP",
                      "softmin(neutral)", "k=3 multipath", "mean-DM optimal",
                      "FPTAS/LP"});
+
+  constexpr double kEpsilon = 0.05;
+  constexpr double kSlack = 1e-9;
+  const double fptas_bound = 1.0 / (1.0 - 3 * kEpsilon);
+  int violations = 0;
+  const auto expect_in = [&](const char* topology, const char* column,
+                             double value, double lo, double hi) {
+    if (value >= lo && value <= hi) return;
+    std::fprintf(stderr, "FAIL: %s %s = %.12g outside [%.12g, %.12g]\n",
+                 topology, column, value, lo, hi);
+    ++violations;
+  };
 
   util::Rng rng(7);
   for (const auto& name :
@@ -94,22 +109,39 @@ int main(int argc, char** argv) {
     const auto& dm = scenario.test_sequences[0][5];
     const double lp_opt = cache.u_max(g, dm);
     mcf::FptasOptions fopt;
-    fopt.epsilon = 0.05;
+    fopt.epsilon = kEpsilon;
     const double fptas = mcf::approx_optimal_u_max(g, dm, fopt);
+    const double fptas_ratio = lp_opt > 0 ? fptas / lp_opt : 0.0;
+
+    const double inf = std::numeric_limits<double>::infinity();
+    expect_in(name, "shortest-path", sp.mean_ratio, 1.0 - kSlack, inf);
+    expect_in(name, "ECMP", ecmp.mean_ratio, 1.0 - kSlack, inf);
+    expect_in(name, "softmin(neutral)", neutral.mean_ratio, 1.0 - kSlack,
+              inf);
+    expect_in(name, "k=3 multipath", multipath.mean_ratio, 1.0 - kSlack,
+              inf);
+    expect_in(name, "mean-DM optimal", mean_dm.mean_ratio, 1.0 - kSlack,
+              inf);
+    expect_in(name, "FPTAS/LP", fptas_ratio, 1.0 - kSlack,
+              fptas_bound + kSlack);
 
     table.add_row({name, std::to_string(g.num_nodes()),
                    std::to_string(g.num_edges()), util::fmt(sp.mean_ratio),
                    util::fmt(ecmp.mean_ratio), util::fmt(neutral.mean_ratio),
                    util::fmt(multipath.mean_ratio),
                    util::fmt(mean_dm.mean_ratio),
-                   util::fmt(lp_opt > 0 ? fptas / lp_opt : 0.0)});
+                   util::fmt(fptas_ratio)});
   }
   table.print();
   std::printf("\nexpectations: every scheme >= 1.0; neutral softmin "
               "(multipath spreading) at or below single shortest-path on "
               "most topologies; FPTAS/LP within [1.0, %.3f].\n",
-              1.0 / (1.0 - 3 * 0.05));
+              fptas_bound);
   const std::string metrics_summary = obs::finish(metrics);
   if (!metrics_summary.empty()) std::printf("%s\n", metrics_summary.c_str());
+  if (violations > 0) {
+    std::fprintf(stderr, "%d expectation(s) violated\n", violations);
+    return 1;
+  }
   return 0;
 }

@@ -61,17 +61,31 @@ class Tableau {
 
   // Gaussian pivot on (pr, pc): pivot row scaled to make the pivot 1, the
   // pivot column eliminated from every other row including the cost row.
-  void pivot(std::size_t pr, std::size_t pc) {
+  // Only the pivot row's non-zero columns can change, so they are
+  // collected once and each touched row updates just those.  Columns in
+  // [frozen_begin, frozen_end) are not updated at all: the solver freezes
+  // the artificial block once nothing reads it again.
+  void pivot(std::size_t pr, std::size_t pc, std::size_t frozen_begin,
+             std::size_t frozen_end) {
     double* prow = &data_[pr * cols_];
     const double inv = 1.0 / prow[pc];
-    for (std::size_t c = 0; c < cols_; ++c) prow[c] *= inv;
+    nonzero_.clear();
+    const auto collect = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t c = begin; c < end; ++c) {
+        if (prow[c] == 0.0) continue;
+        prow[c] *= inv;
+        nonzero_.push_back(c);
+      }
+    };
+    collect(0, frozen_begin);
+    collect(frozen_end, cols_);
     prow[pc] = 1.0;
     for (std::size_t r = 0; r < rows_; ++r) {
       if (r == pr) continue;
       double* row = &data_[r * cols_];
       const double factor = row[pc];
       if (factor == 0.0) continue;
-      for (std::size_t c = 0; c < cols_; ++c) row[c] -= factor * prow[c];
+      for (const std::size_t c : nonzero_) row[c] -= factor * prow[c];
       row[pc] = 0.0;
     }
   }
@@ -80,6 +94,7 @@ class Tableau {
   std::size_t rows_;
   std::size_t cols_;
   std::vector<double> data_;
+  std::vector<std::size_t> nonzero_;  // pivot-row scratch
 };
 
 struct SimplexState {
@@ -90,7 +105,25 @@ struct SimplexState {
   std::size_t rhs_col;
   std::size_t cost_row;
   std::size_t artificial_begin;  // first artificial column
-  std::size_t pivots = 0;        // total pivots across both phases
+  std::size_t pivots = 0;        // total pivots, crash start included
+  // Set once no artificial column is read again (phase 2, or a crash
+  // start): pivots then leave the artificial block stale.
+  bool artificials_frozen = false;
+
+  void pivot(std::size_t r, std::size_t c) {
+    if (artificials_frozen) {
+      tableau.pivot(r, c, artificial_begin, total_cols);
+    } else {
+      tableau.pivot(r, c, total_cols, total_cols);
+    }
+    basis[r] = static_cast<int>(c);
+    ++pivots;
+  }
+
+  // Columns whose entries are still current.
+  std::size_t live_cols() const {
+    return artificials_frozen ? artificial_begin : total_cols;
+  }
 };
 
 // Flushes the pivot count to the metrics registry on every exit path of
@@ -160,9 +193,7 @@ IterateResult iterate(SimplexState& s, std::size_t col_limit,
     }
     if (leaving_row == s.m) return IterateResult::kUnbounded;
 
-    s.tableau.pivot(leaving_row, entering);
-    s.basis[leaving_row] = static_cast<int>(entering);
-    ++s.pivots;
+    s.pivot(leaving_row, entering);
 
     // --- anti-cycling ---
     // A pivot that fails to strictly improve the objective is degenerate;
@@ -186,7 +217,8 @@ IterateResult iterate(SimplexState& s, std::size_t col_limit,
 // Loads `costs` (indexed over all columns except rhs) into the cost row and
 // prices out the current basic variables so reduced costs are consistent.
 void install_costs(SimplexState& s, const std::vector<double>& costs) {
-  for (std::size_t c = 0; c < s.total_cols; ++c) {
+  const std::size_t live = s.live_cols();
+  for (std::size_t c = 0; c < live; ++c) {
     s.tableau.at(s.cost_row, c) = costs[c];
   }
   s.tableau.at(s.cost_row, s.rhs_col) = 0.0;
@@ -194,43 +226,121 @@ void install_costs(SimplexState& s, const std::vector<double>& costs) {
     const auto bc = static_cast<std::size_t>(s.basis[r]);
     const double cost = costs[bc];
     if (cost == 0.0) continue;
-    for (std::size_t c = 0; c <= s.rhs_col; ++c) {
+    for (std::size_t c = 0; c < live; ++c) {
       s.tableau.at(s.cost_row, c) -= cost * s.tableau.at(r, c);
+    }
+    s.tableau.at(s.cost_row, s.rhs_col) -= cost * s.tableau.at(r, s.rhs_col);
+  }
+}
+
+// A constraint after RHS normalisation (rhs >= 0).
+struct NormalisedRow {
+  std::vector<std::pair<int, double>> terms;
+  Relation rel;
+  double rhs;
+};
+
+// Writes the constraint rows into a zeroed tableau: each <= row gets a
+// basic slack, each >= row a surplus plus a basic artificial, each = row a
+// basic artificial.
+void load_rows(SimplexState& s, const std::vector<NormalisedRow>& rows,
+               std::size_t num_structural) {
+  std::size_t slack_cursor = num_structural;
+  std::size_t artificial_cursor = s.artificial_begin;
+  for (std::size_t r = 0; r < s.m; ++r) {
+    const NormalisedRow& row = rows[r];
+    for (const auto& [idx, coeff] : row.terms) {
+      s.tableau.at(r, static_cast<std::size_t>(idx)) += coeff;
+    }
+    s.tableau.at(r, s.rhs_col) = row.rhs;
+    switch (row.rel) {
+      case Relation::kLe:
+        s.tableau.at(r, slack_cursor) = 1.0;
+        s.basis[r] = static_cast<int>(slack_cursor);
+        ++slack_cursor;
+        break;
+      case Relation::kGe:
+        s.tableau.at(r, slack_cursor) = -1.0;
+        ++slack_cursor;
+        s.tableau.at(r, artificial_cursor) = 1.0;
+        s.basis[r] = static_cast<int>(artificial_cursor);
+        ++artificial_cursor;
+        break;
+      case Relation::kEq:
+        s.tableau.at(r, artificial_cursor) = 1.0;
+        s.basis[r] = static_cast<int>(artificial_cursor);
+        ++artificial_cursor;
+        break;
     }
   }
 }
 
+// Applies a crash start to the freshly loaded tableau.  A start never
+// lets an artificial back into the basis, so the artificial block is
+// frozen from the first crash pivot.  Returns false — leaving the tableau
+// unusable — when a pivot element is not above pivot_tolerance, an
+// artificial is still basic afterwards, or a basic value is below
+// -feasibility_tolerance.  On true the basis is feasible and phase 2 can
+// start from it.
+bool apply_start(SimplexState& s, std::span<const CrashPivot> start,
+                 const LinearProgram::Options& options) {
+  s.artificials_frozen = true;
+  for (const CrashPivot& p : start) {
+    const auto r = static_cast<std::size_t>(p.row);
+    const auto c = static_cast<std::size_t>(p.variable);
+    if (!(std::abs(s.tableau.at(r, c)) > options.pivot_tolerance)) {
+      return false;
+    }
+    s.pivot(r, c);
+  }
+  std::vector<double> basic_values(s.m);
+  for (std::size_t r = 0; r < s.m; ++r) {
+    if (static_cast<std::size_t>(s.basis[r]) >= s.artificial_begin) {
+      return false;
+    }
+    basic_values[r] = s.tableau.at(r, s.rhs_col);
+    if (basic_values[r] < -options.feasibility_tolerance) return false;
+  }
+  GDDR_VALIDATE(check_basis(s.basis, s.total_cols, "lp/start/basis"));
+  GDDR_VALIDATE(check_rhs_nonnegative(
+      basic_values, options.feasibility_tolerance, "lp/start/rhs"));
+  return true;
+}
+
 }  // namespace
 
-Solution LinearProgram::solve(const Options& options) const {
+Solution LinearProgram::solve(const Options& options,
+                              std::span<const CrashPivot> start) const {
   const auto n = static_cast<std::size_t>(num_variables());
   const auto m = static_cast<std::size_t>(num_constraints());
+  for (const CrashPivot& p : start) {
+    if (p.row < 0 || static_cast<std::size_t>(p.row) >= m ||
+        p.variable < 0 || static_cast<std::size_t>(p.variable) >= n) {
+      throw std::out_of_range("solve: crash pivot outside the program");
+    }
+  }
 
   // Count auxiliary columns.  RHS is normalised to >= 0 first (flip the
   // relation when multiplying a row by -1).
-  std::vector<Relation> rel(m);
-  std::vector<double> rhs(m);
-  std::vector<std::vector<std::pair<int, double>>> terms(m);
+  std::vector<NormalisedRow> rows(m);
   std::size_t num_slack = 0;
   std::size_t num_artificial = 0;
   for (std::size_t r = 0; r < m; ++r) {
-    const Row& row = rows_[r];
-    rel[r] = row.rel;
-    rhs[r] = row.rhs;
-    terms[r] = row.terms;
-    if (rhs[r] < 0.0) {
-      rhs[r] = -rhs[r];
-      for (auto& [idx, coeff] : terms[r]) {
+    NormalisedRow& row = rows[r];
+    row = NormalisedRow{rows_[r].terms, rows_[r].rel, rows_[r].rhs};
+    if (row.rhs < 0.0) {
+      row.rhs = -row.rhs;
+      for (auto& [idx, coeff] : row.terms) {
         (void)idx;
         coeff = -coeff;
       }
-      if (rel[r] == Relation::kLe) {
-        rel[r] = Relation::kGe;
-      } else if (rel[r] == Relation::kGe) {
-        rel[r] = Relation::kLe;
+      if (row.rel == Relation::kLe) {
+        row.rel = Relation::kGe;
+      } else if (row.rel == Relation::kGe) {
+        row.rel = Relation::kLe;
       }
     }
-    switch (rel[r]) {
+    switch (row.rel) {
       case Relation::kLe:
         ++num_slack;
         break;
@@ -255,35 +365,7 @@ Solution LinearProgram::solve(const Options& options) const {
                  /*artificial_begin=*/n + num_slack};
   const PivotRecorder recorder{s};
   obs::ScopedTimer solve_timer("lp/solve");
-
-  // Fill constraint rows.
-  std::size_t slack_cursor = n;
-  std::size_t artificial_cursor = n + num_slack;
-  for (std::size_t r = 0; r < m; ++r) {
-    for (const auto& [idx, coeff] : terms[r]) {
-      s.tableau.at(r, static_cast<std::size_t>(idx)) += coeff;
-    }
-    s.tableau.at(r, rhs_col) = rhs[r];
-    switch (rel[r]) {
-      case Relation::kLe:
-        s.tableau.at(r, slack_cursor) = 1.0;
-        s.basis[r] = static_cast<int>(slack_cursor);
-        ++slack_cursor;
-        break;
-      case Relation::kGe:
-        s.tableau.at(r, slack_cursor) = -1.0;
-        ++slack_cursor;
-        s.tableau.at(r, artificial_cursor) = 1.0;
-        s.basis[r] = static_cast<int>(artificial_cursor);
-        ++artificial_cursor;
-        break;
-      case Relation::kEq:
-        s.tableau.at(r, artificial_cursor) = 1.0;
-        s.basis[r] = static_cast<int>(artificial_cursor);
-        ++artificial_cursor;
-        break;
-    }
-  }
+  load_rows(s, rows, n);
 
   const std::size_t max_iters =
       options.max_iterations > 0
@@ -293,10 +375,23 @@ Solution LinearProgram::solve(const Options& options) const {
   // Initial basis: one slack/artificial column per row, all distinct.
   GDDR_VALIDATE(check_basis(s.basis, total_cols, "lp/setup/basis"));
 
+  bool started = false;
+  if (!start.empty()) {
+    started = apply_start(s, start, options);
+    if (!started) {
+      // Back to the cold path on a fresh tableau; the rejected crash
+      // pivots still count toward lp/pivots.
+      obs::count("lp/start_rejected");
+      s.tableau = Tableau(m + 1, total_cols + 1);
+      s.artificials_frozen = false;
+      load_rows(s, rows, n);
+    }
+  }
+
   Solution solution;
 
   // --- Phase 1: minimise the sum of artificials ---
-  if (num_artificial > 0) {
+  if (!started && num_artificial > 0) {
     std::vector<double> phase1_costs(total_cols, 0.0);
     for (std::size_t c = s.artificial_begin; c < total_cols; ++c) {
       phase1_costs[c] = 1.0;
@@ -312,15 +407,15 @@ Solution LinearProgram::solve(const Options& options) const {
       solution.status = SolveStatus::kInfeasible;
       return solution;
     }
+    // Nothing reads an artificial column from here on.
+    s.artificials_frozen = true;
     // Drive any artificial still basic (at value ~0) out of the basis if a
     // usable pivot exists; otherwise the row is redundant and harmless.
     for (std::size_t r = 0; r < m; ++r) {
       if (static_cast<std::size_t>(s.basis[r]) < s.artificial_begin) continue;
       for (std::size_t c = 0; c < s.artificial_begin; ++c) {
         if (std::abs(s.tableau.at(r, c)) > options.pivot_tolerance) {
-          s.tableau.pivot(r, c);
-          s.basis[r] = static_cast<int>(c);
-          ++s.pivots;
+          s.pivot(r, c);
           break;
         }
       }
@@ -339,6 +434,7 @@ Solution LinearProgram::solve(const Options& options) const {
   }
 
   // --- Phase 2: minimise the real objective; artificials may not enter ---
+  s.artificials_frozen = true;
   std::vector<double> phase2_costs(total_cols, 0.0);
   for (std::size_t c = 0; c < n; ++c) phase2_costs[c] = objective_[c];
   install_costs(s, phase2_costs);
@@ -353,10 +449,12 @@ Solution LinearProgram::solve(const Options& options) const {
   }
 
   // Optimum reached: basis still valid, and the total pivot count stayed
-  // inside the two phase budgets plus the <= m drive-out pivots.
+  // inside the crash start, the two phase budgets and the <= m drive-out
+  // pivots.
   GDDR_VALIDATE([&] {
     check_basis(s.basis, total_cols, "lp/phase2/basis");
-    check_pivot_bound(s.pivots, 2 * max_iters + m, "lp/solve/pivots");
+    check_pivot_bound(s.pivots, start.size() + 2 * max_iters + m,
+                      "lp/solve/pivots");
   }());
 
   solution.status = SolveStatus::kOptimal;

@@ -1,4 +1,4 @@
-// Dense two-phase primal simplex linear-programming solver.
+// Two-phase primal simplex linear-programming solver on a dense tableau.
 //
 // The paper computes the optimal max-link-utilisation with Google
 // OR-Tools' LP solver (§V-A); this module is the from-scratch replacement.
@@ -7,16 +7,26 @@
 //     minimise    c . x
 //     subject to  A x {<=, =, >=} b,    x >= 0
 //
-// via the textbook two-phase method on a dense tableau: phase 1 minimises
-// the sum of artificial variables to find a basic feasible solution, phase 2
+// via the textbook two-phase method: phase 1 minimises the sum of
+// artificial variables to find a basic feasible solution, phase 2
 // optimises the real objective.  Dantzig pricing is used with an automatic
 // switch to Bland's rule when progress stalls, which guarantees
-// termination.  Problem sizes in this repository (destination-aggregated
-// multicommodity flow on Topology-Zoo-scale graphs) stay well inside what a
-// dense tableau handles comfortably.
+// termination.  The tableau is stored dense but updated sparsely: a pivot
+// touches only the rows with a non-zero in the pivot column, and in them
+// only the pivot row's non-zero columns.
+//
+// A caller that knows a feasible basis of its problem can hand solve() a
+// crash start — an ordered list of (constraint, variable) pivots.  When
+// the start yields a feasible basis with no artificial left basic, phase 1
+// is skipped; otherwise the solve falls back to the cold two-phase path
+// on a fresh tableau, so a bad start costs time but never the answer.
+// Problem sizes in this repository (destination-aggregated
+// multicommodity flow on Topology-Zoo-scale graphs) stay well inside what
+// a dense tableau handles comfortably.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +44,13 @@ struct Solution {
 };
 
 std::string to_string(SolveStatus status);
+
+// One pivot of a crash start: `variable` enters the basis in constraint
+// `row` (indices as returned by add_variable / the add_constraint order).
+struct CrashPivot {
+  int row;
+  int variable;
+};
 
 class LinearProgram {
  public:
@@ -65,7 +82,15 @@ class LinearProgram {
     std::size_t degenerate_pivot_limit = 64;
   };
 
-  Solution solve(const Options& options) const;
+  // Solves the program.  A non-empty `start` is applied pivot by pivot
+  // before phase 2; the solve falls back to the cold two-phase path (and
+  // counts lp/start_rejected) when a pivot element is not above
+  // pivot_tolerance, an artificial variable is left basic (an equality or
+  // >= row the start does not cover), or a basic value ends below
+  // -feasibility_tolerance.  Throws std::out_of_range for a start index
+  // outside the program.
+  Solution solve(const Options& options,
+                 std::span<const CrashPivot> start = {}) const;
   Solution solve() const { return solve(Options{}); }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -71,10 +72,9 @@ double max_concurrent_flow(const DiGraph& g, const DemandMatrix& dm,
   }
   if (commodities.empty()) return 0.0;
 
-  // Pre-scale so lambda* is O(1): shortest-path routing achieves
-  // utilisation U_sp, hence lambda*(dm) >= 1/U_sp and (since the optimum
-  // can't beat 1 unit of congestion per unit of scaling) lambda*(scaled)
-  // lands near 1.  The returned value is unscaled at the end.
+  // Pre-scale by the shortest-path utilisation U_sp >= U*: lambda* of the
+  // scaled problem is then U_sp / U* >= 1, usually a small constant.  The
+  // returned value is unscaled at the end.
   const double u_sp = shortest_path_u_max(g, dm);
   if (u_sp <= 0.0) return 0.0;
   const double scale = u_sp;  // scaled demand d' = d / u_sp
@@ -95,30 +95,45 @@ double max_concurrent_flow(const DiGraph& g, const DemandMatrix& dm,
     return d;
   };
 
-  int completed_phases = 0;
-  // Phase bound: lambda* of the scaled problem is at most ~1 (shortest-path
-  // routing achieves utilisation 1 on it), so the standard analysis bounds
-  // phases by O(log(m)/eps^2); the generous cap below only guards against
-  // pathological inputs.
+  // Phase budget: when lambda* of the scaled problem is O(1) the standard
+  // analysis bounds phases by O(log(m)/eps^2).  Shortest-path routing can
+  // sit far above the optimum, though (parallel links, a fat detour), so
+  // lambda*(scaled) may be large; when a budget of phases completes
+  // without the lengths reaching 1, the demands double (Garg-Konemann),
+  // which keeps the phase count at O(log(m)/eps^2 * log(lambda*)).
+  // `routed` counts the completed phases in multiples of the scaled
+  // demand.  The doubling cap only guards against pathological inputs.
   const int max_phases = static_cast<int>(std::ceil(
       4.0 * std::log(m + 2.0) / (eps * eps))) + 64;
+  constexpr int kMaxDoublings = 64;
+  double routed = 0.0;
+  double multiple = 1.0;
+  int phases_at_multiple = 0;
+  int doublings = 0;
 
-  while (total_length() < 1.0 && completed_phases < max_phases) {
+  while (total_length() < 1.0) {
+    if (phases_at_multiple == max_phases) {
+      if (++doublings > kMaxDoublings) break;
+      multiple *= 2.0;
+      phases_at_multiple = 0;
+      for (auto& c : commodities) c.d *= 2.0;
+    }
     for (const auto& c : commodities) {
       double remaining = c.d;
       while (remaining > 1e-15 && total_length() < 1.0) {
         const auto sp = graph::dijkstra(g, c.s, length);
-        const auto path = graph::extract_path(g, sp, c.s, c.t);
-        if (path.size() < 2) {
-          throw std::runtime_error("fptas: commodity unreachable");
-        }
-        // Bottleneck capacity along the path.
+        // Walk the edges Dijkstra chose back from t (with parallel links,
+        // the node path alone does not name the link).
         double bottleneck = std::numeric_limits<double>::infinity();
         std::vector<EdgeId> path_edges;
-        for (size_t i = 0; i + 1 < path.size(); ++i) {
-          const auto e = g.find_edge(path[i], path[i + 1]);
-          path_edges.push_back(*e);
-          bottleneck = std::min(bottleneck, g.edge(*e).capacity);
+        for (NodeId v = c.t; v != c.s;) {
+          const EdgeId pe = sp.parent_edge[static_cast<size_t>(v)];
+          if (pe == graph::kInvalidEdge) {
+            throw std::runtime_error("fptas: commodity unreachable");
+          }
+          path_edges.push_back(pe);
+          bottleneck = std::min(bottleneck, g.edge(pe).capacity);
+          v = g.edge(pe).src;
         }
         const double send = std::min(remaining, bottleneck);
         remaining -= send;
@@ -129,12 +144,14 @@ double max_concurrent_flow(const DiGraph& g, const DemandMatrix& dm,
       }
       if (total_length() >= 1.0) break;
     }
-    if (total_length() < 1.0) ++completed_phases;
+    if (total_length() < 1.0) {
+      routed += multiple;
+      ++phases_at_multiple;
+    }
   }
 
   const double log_ratio = std::log((1.0 + eps) / delta) / std::log(1.0 + eps);
-  const double lambda_scaled =
-      static_cast<double>(completed_phases) / log_ratio;
+  const double lambda_scaled = routed / log_ratio;
   return lambda_scaled / scale;
 }
 

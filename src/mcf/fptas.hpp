@@ -8,7 +8,9 @@
 // and serves two purposes:
 //  * an independent cross-check on the simplex-based `solve_optimal`
 //    (property tests assert agreement within the FPTAS guarantee), and
-//  * a fallback for graphs large enough that a dense simplex is slow.
+//  * the fallback when the simplex fails (solve_optimal's provenance
+//    chain).  It is not a speed path: the crash-started exact LP is faster
+//    on every catalogue topology.
 #pragma once
 
 #include "graph/digraph.hpp"

@@ -13,7 +13,10 @@
 //    splittable min-max-utilisation MCF (commodities to the same sink can
 //    be merged without changing link totals, and any merged flow can be
 //    decomposed back per-source) and has |V||E| variables instead of
-//    |V|^2|E|.
+//    |V|^2|E|.  build_congestion_lp constructs it together with a crash
+//    start: routing every destination's demand along a hop-count
+//    shortest-path in-tree is a feasible basis, so the simplex skips
+//    phase 1 and goes straight to optimising U_max.
 //
 //  * solve_optimal_per_commodity: the textbook per-(s,t) formulation from
 //    the paper's §II-A, exponentially larger; used in tests to validate the
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "lp/simplex.hpp"
 #include "traffic/demand.hpp"
 
 namespace gddr::mcf {
@@ -63,6 +67,38 @@ struct OptimalResult {
   // Empty under kApproximate provenance (the FPTAS yields only the value).
   std::vector<std::vector<double>> flow_by_dest;
 };
+
+// The destination-aggregated congestion LP (minimise U subject to
+// per-destination conservation and sum_t x_t(e) <= U * c(e)) and the
+// crash start solve_optimal hands the simplex.
+struct CongestionLp {
+  lp::LinearProgram program;
+  // For every destination t with demand, the tree edge x_t(e_v) of the
+  // hop-count shortest-path in-tree to t enters conservation row (t, v),
+  // deepest nodes first; then U_max enters the capacity row of the edge
+  // that tree routing loads most, which leaves every other capacity slack
+  // c(e) * U - load(e) >= 0.  Empty when some node cannot reach a
+  // destination with demand: the simplex then starts cold.
+  std::vector<lp::CrashPivot> start;
+  int u_var = -1;
+  // Block layout: destinations with demand in block order, and the first
+  // variable of each destination's block (-1 for a destination without
+  // demand).  Rows follow the same order: conservation rows (t, v) for
+  // each t in dests and v != t ascending, then one capacity row per edge.
+  std::vector<graph::NodeId> dests;
+  std::vector<int> block_start;
+  int num_edges = 0;
+
+  int x_var(graph::NodeId t, graph::EdgeId e) const {
+    return block_start[static_cast<std::size_t>(t)] + e;
+  }
+  // flow_by_dest of an optimal solution: row t holds x_t(e) for every
+  // destination with demand, other rows stay empty.
+  std::vector<std::vector<double>> flows(const lp::Solution& solution) const;
+};
+
+CongestionLp build_congestion_lp(const graph::DiGraph& g,
+                                 const traffic::DemandMatrix& dm);
 
 // Destination-aggregated optimal congestion LP with FPTAS fallback.
 // A genuinely infeasible LP (unroutable demand) is kFailed — no
