@@ -15,8 +15,10 @@
 //   --json     CI smoke: asserts the optimized kernels reproduce the
 //              naive reference exactly (== on every element, including
 //              across 1/2/4 pool workers), asserts the arena reaches a
-//              steady state with zero new allocations, times the
-//              forward+backward hot loop, and writes BENCH_gnn_micro.json.
+//              steady state (zero new allocations, a flat pool), times the
+//              single-observation forward+backward hot loop (GeantLike)
+//              and the PPO update's stacked minibatch-64 forward+backward
+//              (Abilene), and writes BENCH_gnn_micro.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -32,6 +34,8 @@
 #include "nn/kernels.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/tape.hpp"
+#include "rl/forward.hpp"
+#include "rl/ppo.hpp"
 #include "topo/zoo.hpp"
 #include "util/fs.hpp"
 #include "util/rng.hpp"
@@ -107,11 +111,56 @@ void BM_MlpForward(benchmark::State& state, const std::string& topology) {
                  std::to_string(policy.num_parameters()));
 }
 
+// A PPO minibatch as the trainer's update sees it: `count` samples over
+// the scenario's demand-history positions, each acting at its mean.
+std::vector<rl::StepSample> make_minibatch(const Scenario& scenario,
+                                           rl::Policy& policy, int count) {
+  std::vector<rl::StepSample> samples;
+  const int positions = static_cast<int>(scenario.train_sequences[0].size()) - 5;
+  for (int i = 0; i < count; ++i) {
+    rl::StepSample s;
+    s.obs = RoutingEnv::build_observation(
+        scenario, scenario.train_sequences[0], 5 + i % positions, 5);
+    const rl::PolicyForward fwd = rl::forward_policy(policy, s.obs);
+    s.action = fwd.mean;
+    s.log_prob = rl::action_log_prob(s.action, fwd.mean, fwd.log_std);
+    s.value = fwd.value;
+    s.advantage = (i % 3) - 1.0;
+    s.return_ = fwd.value + 0.1 * (i % 5);
+    samples.push_back(std::move(s));
+  }
+  return samples;
+}
+
+// The PPO update's hot loop: one stacked loss, forward and backward.
+void BM_PpoMinibatch(benchmark::State& state, const std::string& topology) {
+  const Scenario scenario = tiny_scenario(topology);
+  util::Rng prng(2);
+  GnnPolicyConfig cfg;
+  cfg.memory = 5;
+  GnnPolicy policy(cfg, prng);
+  const auto params = policy.parameters();
+  const auto samples = make_minibatch(scenario, policy, 64);
+  std::vector<const rl::StepSample*> batch;
+  for (const auto& s : samples) batch.push_back(&s);
+  const rl::PpoConfig ppo;
+  nn::Tape tape;
+  for (auto _ : state) {
+    tape.reset();
+    const rl::MinibatchLoss loss =
+        rl::ppo_minibatch_loss(tape, policy, batch, ppo);
+    nn::zero_grads(params);
+    tape.backward(loss.total);
+  }
+  state.SetLabel(topology + " minibatch=64");
+}
+
 BENCHMARK_CAPTURE(BM_GnnForward, small, std::string("SmallRing"));
 BENCHMARK_CAPTURE(BM_GnnForward, abilene, std::string("Abilene"));
 BENCHMARK_CAPTURE(BM_GnnForward, geant, std::string("GeantLike"));
 BENCHMARK_CAPTURE(BM_GnnForwardBackward, abilene, std::string("Abilene"));
 BENCHMARK_CAPTURE(BM_GnnForwardBackward, geant, std::string("GeantLike"));
+BENCHMARK_CAPTURE(BM_PpoMinibatch, abilene, std::string("Abilene"));
 BENCHMARK_CAPTURE(BM_MlpForward, small, std::string("SmallRing"));
 BENCHMARK_CAPTURE(BM_MlpForward, abilene, std::string("Abilene"));
 BENCHMARK_CAPTURE(BM_MlpForward, geant, std::string("GeantLike"));
@@ -191,48 +240,91 @@ int run_json_smoke() {
   std::printf("optimized kernels == naive reference (1/2/4 workers): %s\n",
               kernels_ok ? "yes" : "NO — MISMATCH");
 
-  const Scenario scenario = tiny_scenario("GeantLike");
+  struct HotLoop {
+    int iters = 0;
+    double us_per_iter = 0.0;
+    std::uint64_t misses = 0;  // arena misses after warm-up
+    long pooled_growth = 0;    // change in pooled buffers after warm-up
+    std::uint64_t reuse = 0;
+    std::size_t bytes = 0;
+  };
+  // Warms `step` up until the tape's arena has seen the full shape
+  // population, then times `iters` more and counts fresh allocations and
+  // the growth of the arena's free lists (both must stay at zero).
+  const auto run_hot_loop = [&](nn::Tape& tape, int warmup, int iters,
+                                const auto& step) {
+    for (int i = 0; i < warmup; ++i) step();
+    const std::uint64_t misses_before = tape.arena_misses();
+    const std::uint64_t reuse_before = tape.arena_reuse();
+    const std::size_t pooled_before = tape.arena_pooled();
+    const double start = now_seconds();
+    for (int i = 0; i < iters; ++i) step();
+    HotLoop r;
+    r.iters = iters;
+    r.us_per_iter = (now_seconds() - start) / iters * 1e6;
+    r.misses = tape.arena_misses() - misses_before;
+    r.reuse = tape.arena_reuse() - reuse_before;
+    r.pooled_growth = static_cast<long>(tape.arena_pooled()) -
+                      static_cast<long>(pooled_before);
+    r.bytes = tape.arena_bytes();
+    return r;
+  };
+  const auto steady = [](const HotLoop& r) {
+    return r.misses == 0 && r.pooled_growth == 0;
+  };
+  const auto report = [&](const char* what, const HotLoop& r) {
+    std::printf("%s: %.1f us/iter\n", what, r.us_per_iter);
+    std::printf("  arena steady state: %llu new allocations, pool %+ld "
+                "buffers over %d iters (%llu buffer reuses), bytes=%llu: "
+                "%s\n",
+                static_cast<unsigned long long>(r.misses), r.pooled_growth,
+                r.iters, static_cast<unsigned long long>(r.reuse),
+                static_cast<unsigned long long>(r.bytes),
+                steady(r) ? "ok" : "NO — GROWING PER ITERATION");
+  };
+
   util::Rng prng(2);
   GnnPolicyConfig cfg;
   cfg.memory = 5;
   GnnPolicy policy(cfg, prng);
   const auto params = policy.parameters();
-  const auto obs = RoutingEnv::build_observation(
-      scenario, scenario.train_sequences[0], 5, 5);
 
+  // Single-observation forward+backward (GeantLike), the serving and
+  // collection shape.
+  const Scenario geant = tiny_scenario("GeantLike");
+  const auto obs = RoutingEnv::build_observation(
+      geant, geant.train_sequences[0], 5, 5);
   nn::Tape tape;
-  const auto step = [&] {
+  const HotLoop single = run_hot_loop(tape, 10, 100, [&] {
     tape.reset();
     const auto mean = policy.action_mean(tape, obs);
     const auto loss = tape.mean_all(tape.square(mean));
     nn::zero_grads(params);
     tape.backward(loss);
-  };
+  });
+  report("forward+backward (GeantLike)", single);
 
-  // Warm up until the arena has seen the full shape population, then
-  // require that further iterations allocate nothing new.
-  constexpr int kWarmup = 10;
-  constexpr int kIters = 100;
-  for (int i = 0; i < kWarmup; ++i) step();
-  const std::uint64_t misses_before = tape.arena_misses();
-  const std::uint64_t reuse_before = tape.arena_reuse();
-  const double start = now_seconds();
-  for (int i = 0; i < kIters; ++i) step();
-  const double seconds = now_seconds() - start;
-  const std::uint64_t misses_delta = tape.arena_misses() - misses_before;
-  const std::uint64_t reuse_delta = tape.arena_reuse() - reuse_before;
-  const double us_per_iter = seconds / kIters * 1e6;
+  // The PPO update's stacked minibatch (Abilene, 64 samples): one loss,
+  // one forward and one backward over the union graph.  Fewer
+  // iterations: each is ~60x the single-graph pass, and the sanitizer
+  // legs run this smoke too.
+  const Scenario abilene = tiny_scenario("Abilene");
+  const auto samples = make_minibatch(abilene, policy, 64);
+  std::vector<const rl::StepSample*> batch;
+  for (const auto& s : samples) batch.push_back(&s);
+  const rl::PpoConfig ppo;
+  nn::Tape update_tape;
+  const HotLoop minibatch = run_hot_loop(update_tape, 3, 20, [&] {
+    update_tape.reset();
+    const rl::MinibatchLoss loss =
+        rl::ppo_minibatch_loss(update_tape, policy, batch, ppo);
+    nn::zero_grads(params);
+    update_tape.backward(loss.total);
+  });
+  report("PPO minibatch-64 stacked forward+backward (Abilene)", minibatch);
 
-  const bool arena_ok = misses_delta == 0;
-  std::printf("forward+backward (GeantLike): %.1f us/iter\n", us_per_iter);
-  std::printf("arena steady state: %llu new allocations over %d iters "
-              "(%llu buffer reuses), bytes=%llu: %s\n",
-              static_cast<unsigned long long>(misses_delta), kIters,
-              static_cast<unsigned long long>(reuse_delta),
-              static_cast<unsigned long long>(tape.arena_bytes()),
-              arena_ok ? "ok" : "NO — ALLOCATING PER ITERATION");
-
-  char json[1024];
+  const bool arena_ok = steady(single) && steady(minibatch);
+  char json[2048];
   std::snprintf(
       json, sizeof(json),
       "{\n"
@@ -243,12 +335,22 @@ int run_json_smoke() {
       "  \"topology\": \"GeantLike\",\n"
       "  \"arena_steady_state_misses\": %llu,\n"
       "  \"arena_reuse_per_100_iters\": %llu,\n"
-      "  \"arena_bytes\": %llu\n"
+      "  \"arena_bytes\": %llu,\n"
+      "  \"minibatch_forward_backward_us\": %.3f,\n"
+      "  \"minibatch_forward_backward_iters\": %d,\n"
+      "  \"minibatch_size\": 64,\n"
+      "  \"minibatch_topology\": \"Abilene\",\n"
+      "  \"minibatch_arena_steady_state_misses\": %llu,\n"
+      "  \"minibatch_arena_pool_growth\": %ld,\n"
+      "  \"minibatch_arena_bytes\": %llu\n"
       "}\n",
-      kernels_ok ? "true" : "false", us_per_iter, kIters,
-      static_cast<unsigned long long>(misses_delta),
-      static_cast<unsigned long long>(reuse_delta),
-      static_cast<unsigned long long>(tape.arena_bytes()));
+      kernels_ok ? "true" : "false", single.us_per_iter, single.iters,
+      static_cast<unsigned long long>(single.misses),
+      static_cast<unsigned long long>(single.reuse),
+      static_cast<unsigned long long>(single.bytes), minibatch.us_per_iter,
+      minibatch.iters, static_cast<unsigned long long>(minibatch.misses),
+      minibatch.pooled_growth,
+      static_cast<unsigned long long>(minibatch.bytes));
   try {
     util::write_file_atomic("BENCH_gnn_micro.json", json);
     std::printf("wrote BENCH_gnn_micro.json\n");

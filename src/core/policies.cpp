@@ -1,5 +1,6 @@
 #include "core/policies.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
@@ -52,32 +53,72 @@ constexpr std::size_t kSpecCacheCap = 64;
 // Returns a GraphSpec (with gather/segment plans built) for the
 // observation's connectivity, cached per topology.  Policies run
 // concurrently on rollout-collector workers, so the cache is thread-local
-// — no locks on the hot path.  The returned reference is valid until this
-// thread's next cached_spec call; the kernel plans themselves are
-// shared_ptrs retained by the tape, so they outlive any cache eviction.
-const GraphSpec& cached_spec(const rl::Observation& obs) {
+// — no locks on the hot path.  The spec is shared, so a caller holding it
+// is unaffected by a later eviction.
+std::shared_ptr<const GraphSpec> cached_spec(const rl::Observation& obs) {
   struct Entry {
     std::size_t hash = 0;
-    GraphSpec spec;
+    std::shared_ptr<const GraphSpec> spec;
   };
-  thread_local std::vector<std::unique_ptr<Entry>> cache;
+  thread_local std::vector<Entry> cache;
   const std::size_t h = spec_hash(obs);
-  for (const auto& e : cache) {
-    if (e->hash == h && e->spec.num_nodes == obs.num_nodes &&
-        e->spec.senders == obs.senders &&
-        e->spec.receivers == obs.receivers) {
-      return e->spec;
+  for (const Entry& e : cache) {
+    if (e.hash == h && e.spec->num_nodes == obs.num_nodes &&
+        e.spec->senders == obs.senders && e.spec->receivers == obs.receivers) {
+      return e.spec;
     }
   }
   if (cache.size() >= kSpecCacheCap) cache.clear();
-  auto e = std::make_unique<Entry>();
-  e->hash = h;
-  e->spec.num_nodes = obs.num_nodes;
-  e->spec.senders = obs.senders;
-  e->spec.receivers = obs.receivers;
-  e->spec.ensure_plans();
-  cache.push_back(std::move(e));
-  return cache.back()->spec;
+  auto spec = std::make_shared<GraphSpec>();
+  spec->num_nodes = obs.num_nodes;
+  spec->senders = obs.senders;
+  spec->receivers = obs.receivers;
+  spec->ensure_plans();
+  cache.push_back(Entry{h, spec});
+  return spec;
+}
+
+// The disjoint union of the observations' graphs, in order.
+GraphSpec union_spec(const std::vector<const rl::Observation*>& obs) {
+  std::vector<std::shared_ptr<const GraphSpec>> held;
+  std::vector<const GraphSpec*> parts;
+  held.reserve(obs.size());
+  parts.reserve(obs.size());
+  for (const rl::Observation* o : obs) {
+    held.push_back(cached_spec(*o));
+    parts.push_back(held.back().get());
+  }
+  return GraphSpec::disjoint_union(parts);
+}
+
+// Row-stacks one attribute tensor of every observation (observation b's
+// rows follow observation b-1's), as a tape constant in arena storage.
+Tape::Var stack_rows(Tape& tape, const std::vector<const rl::Observation*>& obs,
+                     const Tensor rl::Observation::* member) {
+  const int cols = ((*obs.front()).*member).cols();
+  int rows = 0;
+  for (const rl::Observation* o : obs) {
+    const Tensor& t = o->*member;
+    if (t.cols() != cols) {
+      throw std::invalid_argument("stack_rows: attribute widths differ (" +
+                                  t.shape_str() + ")");
+    }
+    rows += t.rows();
+  }
+  return tape.constant(rows, cols, [&](Tensor& stacked) {
+    auto out = stacked.data().begin();
+    for (const rl::Observation* o : obs) {
+      const auto src = (o->*member).data();
+      out = std::copy(src.begin(), src.end(), out);
+    }
+  });
+}
+
+GraphVars union_vars(Tape& tape,
+                     const std::vector<const rl::Observation*>& obs) {
+  return GraphVars{stack_rows(tape, obs, &rl::Observation::nodes),
+                   stack_rows(tape, obs, &rl::Observation::edges),
+                   stack_rows(tape, obs, &rl::Observation::globals)};
 }
 
 }  // namespace
@@ -103,17 +144,28 @@ int MlpPolicy::action_dim(const rl::Observation& obs) const {
   return action_dim_;
 }
 
+Tape::Var MlpPolicy::flat_rows(Tape& tape,
+                               const std::vector<const rl::Observation*>& obs) {
+  for (const rl::Observation* o : obs) {
+    (void)action_dim(*o);  // validates the observation size
+  }
+  const int batch = static_cast<int>(obs.size());
+  return tape.constant(batch, obs_dim_, [&](Tensor& x) {
+    for (int b = 0; b < batch; ++b) {
+      const auto& flat = obs[static_cast<std::size_t>(b)]->flat;
+      for (int j = 0; j < obs_dim_; ++j) {
+        x.at(b, j) = static_cast<float>(flat[static_cast<std::size_t>(j)]);
+      }
+    }
+  });
+}
+
 Tape::Var MlpPolicy::action_mean(Tape& tape, const rl::Observation& obs) {
-  (void)action_dim(obs);  // validates the observation size
-  const Tape::Var x = tape.constant(Tensor::row(
-      std::span<const double>(obs.flat.data(), obs.flat.size())));
-  return pi_.forward(tape, x);
+  return pi_.forward(tape, flat_rows(tape, {&obs}));
 }
 
 Tape::Var MlpPolicy::value(Tape& tape, const rl::Observation& obs) {
-  const Tape::Var x = tape.constant(Tensor::row(
-      std::span<const double>(obs.flat.data(), obs.flat.size())));
-  return vf_.forward(tape, x);
+  return vf_.forward(tape, flat_rows(tape, {&obs}));
 }
 
 Tape::Var MlpPolicy::log_std_row(Tape& tape, int adim) {
@@ -121,6 +173,17 @@ Tape::Var MlpPolicy::log_std_row(Tape& tape, int adim) {
     throw std::invalid_argument("MlpPolicy: action dim mismatch");
   }
   return tape.leaf(log_std_);
+}
+
+rl::Policy::BatchEvaluation MlpPolicy::evaluate_batch(
+    Tape& tape, const std::vector<const rl::Observation*>& obs) {
+  const int batch = static_cast<int>(obs.size());
+  const Tape::Var xs = flat_rows(tape, obs);
+  const int rows = batch * action_dim_;
+  return BatchEvaluation{
+      tape.reshape(pi_.forward(tape, xs), rows, 1),
+      tape.reshape(tape.broadcast_rows(tape.leaf(log_std_), batch), rows, 1),
+      vf_.forward(tape, xs)};
 }
 
 std::vector<nn::Parameter*> MlpPolicy::parameters() {
@@ -174,108 +237,54 @@ int GnnPolicy::action_dim(const rl::Observation& obs) const {
 }
 
 Tape::Var GnnPolicy::action_mean(Tape& tape, const rl::Observation& obs) {
-  const GraphSpec& spec = cached_spec(obs);
-  const GraphVars out = pi_.forward(tape, spec, graph_vars_from(tape, obs));
+  const auto spec = cached_spec(obs);
+  const GraphVars out = pi_.forward(tape, *spec, graph_vars_from(tape, obs));
   // Decoded edge attributes (E x 1) -> action row (1 x E).
-  return tape.reshape(out.edges, 1, spec.num_edges());
+  return tape.reshape(out.edges, 1, spec->num_edges());
 }
 
-namespace {
-
-// Batched specs are derived from a cached base spec and reused across
-// requests the same way cached_spec entries are: thread-local (policies
-// run on concurrent serving workers), keyed by base connectivity + batch,
-// reset past the cap rather than growing without bound.  The returned
-// reference is valid until this thread's next cached_batched_spec call.
-const gnn::BatchedGraphSpec& cached_batched_spec(const rl::Observation& obs,
-                                                 const GraphSpec& base,
-                                                 int batch) {
-  struct Entry {
-    std::size_t hash = 0;
-    int batch = 0;
-    int num_nodes = 0;
-    std::vector<int> senders;
-    std::vector<int> receivers;
-    gnn::BatchedGraphSpec bspec;
-  };
-  thread_local std::vector<std::unique_ptr<Entry>> cache;
-  const std::size_t h = spec_hash(obs);
-  for (const auto& e : cache) {
-    if (e->hash == h && e->batch == batch &&
-        e->num_nodes == obs.num_nodes && e->senders == obs.senders &&
-        e->receivers == obs.receivers) {
-      return e->bspec;
-    }
-  }
-  if (cache.size() >= kSpecCacheCap) cache.clear();
-  auto e = std::make_unique<Entry>();
-  e->hash = h;
-  e->batch = batch;
-  e->num_nodes = obs.num_nodes;
-  e->senders = obs.senders;
-  e->receivers = obs.receivers;
-  e->bspec = gnn::BatchedGraphSpec::from(base, batch);
-  cache.push_back(std::move(e));
-  return cache.back()->bspec;
+GnnPolicy::UnionPass GnnPolicy::pi_over_union(
+    Tape& tape, const std::vector<const rl::Observation*>& obs) {
+  UnionPass pass{union_spec(obs), {}, {}};
+  pass.in = union_vars(tape, obs);
+  pass.pi = pi_.forward(tape, pass.spec, pass.in);
+  return pass;
 }
-
-// Stacks per-observation attribute tensors row-wise (copy b's rows are
-// contiguous at offset b * rows).
-Tensor stack_tensors(const std::vector<const rl::Observation*>& obs,
-                     const Tensor rl::Observation::* member) {
-  const Tensor& first = (*obs.front()).*member;
-  Tensor stacked(static_cast<int>(obs.size()) * first.rows(), first.cols());
-  int row = 0;
-  for (const rl::Observation* o : obs) {
-    const Tensor& t = o->*member;
-    for (int i = 0; i < t.rows(); ++i, ++row) {
-      for (int j = 0; j < t.cols(); ++j) {
-        stacked.at(row, j) = t.at(i, j);
-      }
-    }
-  }
-  return stacked;
-}
-
-}  // namespace
 
 bool GnnPolicy::action_means(Tape& tape,
                              const std::vector<const rl::Observation*>& obs,
                              Tape::Var& out) {
   if (obs.empty()) return false;
-  const rl::Observation& first = *obs.front();
+  const int edges = action_dim(*obs.front());
   for (const rl::Observation* o : obs) {
-    if (o->num_nodes != first.num_nodes || o->senders != first.senders ||
-        o->receivers != first.receivers ||
-        !o->nodes.same_shape(first.nodes) ||
-        !o->edges.same_shape(first.edges) ||
-        !o->globals.same_shape(first.globals)) {
-      return false;
-    }
+    if (action_dim(*o) != edges) return false;
   }
-  const GraphSpec& base = cached_spec(first);
-  const int batch = static_cast<int>(obs.size());
-  const gnn::BatchedGraphSpec& bspec =
-      cached_batched_spec(first, base, batch);
-  const GraphVars in{
-      tape.constant(stack_tensors(obs, &rl::Observation::nodes)),
-      tape.constant(stack_tensors(obs, &rl::Observation::edges)),
-      tape.constant(stack_tensors(obs, &rl::Observation::globals))};
-  const GraphVars decoded = pi_.forward_batched(tape, bspec, in);
-  // Decoded stacked edge attributes (batch*E x 1) -> one action row per
-  // copy (batch x E): row-major reshape keeps copy b's E edges on row b.
-  out = tape.reshape(decoded.edges, batch, bspec.base_edges);
+  // Decoded union edge attributes (B*E x 1) -> one action row per graph
+  // (B x E): row-major reshape keeps graph b's E edges on row b.
+  out = tape.reshape(pi_over_union(tape, obs).pi.edges,
+                     static_cast<int>(obs.size()), edges);
   return true;
 }
 
 Tape::Var GnnPolicy::value(Tape& tape, const rl::Observation& obs) {
-  const GraphSpec& spec = cached_spec(obs);
-  const GraphVars out = vf_.forward(tape, spec, graph_vars_from(tape, obs));
+  const auto spec = cached_spec(obs);
+  const GraphVars out = vf_.forward(tape, *spec, graph_vars_from(tape, obs));
   return out.globals;  // 1 x 1
 }
 
 Tape::Var GnnPolicy::log_std_row(Tape& tape, int adim) {
   return tape.broadcast_cols(tape.leaf(log_std_scalar_), adim);
+}
+
+rl::Policy::BatchEvaluation GnnPolicy::evaluate_batch(
+    Tape& tape, const std::vector<const rl::Observation*>& obs) {
+  const UnionPass pass = pi_over_union(tape, obs);
+  const GraphVars vf = vf_.forward(tape, pass.spec, pass.in);
+  // Union edge rows are sample-major already: one action element each.
+  return BatchEvaluation{
+      pass.pi.edges,
+      tape.broadcast_rows(tape.leaf(log_std_scalar_), pass.spec.num_edges()),
+      vf.globals};
 }
 
 std::vector<nn::Parameter*> GnnPolicy::parameters() {
@@ -326,14 +335,14 @@ IterativeGnnPolicy::IterativeGnnPolicy(const IterativeGnnPolicyConfig& config,
 
 Tape::Var IterativeGnnPolicy::action_mean(Tape& tape,
                                           const rl::Observation& obs) {
-  const GraphSpec& spec = cached_spec(obs);
-  const GraphVars out = pi_.forward(tape, spec, graph_vars_from(tape, obs));
+  const auto spec = cached_spec(obs);
+  const GraphVars out = pi_.forward(tape, *spec, graph_vars_from(tape, obs));
   return out.globals;
 }
 
 Tape::Var IterativeGnnPolicy::value(Tape& tape, const rl::Observation& obs) {
-  const GraphSpec& spec = cached_spec(obs);
-  const GraphVars out = vf_.forward(tape, spec, graph_vars_from(tape, obs));
+  const auto spec = cached_spec(obs);
+  const GraphVars out = vf_.forward(tape, *spec, graph_vars_from(tape, obs));
   return out.globals;
 }
 
@@ -342,6 +351,21 @@ Tape::Var IterativeGnnPolicy::log_std_row(Tape& tape, int adim) {
     throw std::invalid_argument("IterativeGnnPolicy: action dim must be 2");
   }
   return tape.leaf(log_std_);
+}
+
+rl::Policy::BatchEvaluation IterativeGnnPolicy::evaluate_batch(
+    Tape& tape, const std::vector<const rl::Observation*>& obs) {
+  const GraphSpec spec = union_spec(obs);
+  const GraphVars in = union_vars(tape, obs);
+  const int batch = static_cast<int>(obs.size());
+  // Decoded globals (B x 2) -> one (weight, gamma) element per row.
+  const GraphVars pi = pi_.forward(tape, spec, in);
+  const GraphVars vf = vf_.forward(tape, spec, in);
+  return BatchEvaluation{
+      tape.reshape(pi.globals, 2 * batch, 1),
+      tape.reshape(tape.broadcast_rows(tape.leaf(log_std_), batch), 2 * batch,
+                   1),
+      vf.globals};
 }
 
 std::vector<nn::Parameter*> IterativeGnnPolicy::parameters() {

@@ -44,12 +44,18 @@ class MlpPolicy final : public rl::Policy {
                             const rl::Observation& obs) override;
   nn::Tape::Var value(nn::Tape& tape, const rl::Observation& obs) override;
   nn::Tape::Var log_std_row(nn::Tape& tape, int action_dim) override;
+  BatchEvaluation evaluate_batch(
+      nn::Tape& tape, const std::vector<const rl::Observation*>& obs) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return "MLP"; }
 
   std::size_t num_parameters() const;
 
  private:
+  // The observations' flat vectors as one B x obs_dim constant (validated).
+  nn::Tape::Var flat_rows(nn::Tape& tape,
+                          const std::vector<const rl::Observation*>& obs);
+
   int obs_dim_;
   int action_dim_;
   nn::Mlp pi_;
@@ -79,13 +85,15 @@ class GnnPolicy final : public rl::Policy {
                             const rl::Observation& obs) override;
   nn::Tape::Var value(nn::Tape& tape, const rl::Observation& obs) override;
   nn::Tape::Var log_std_row(nn::Tape& tape, int action_dim) override;
+  BatchEvaluation evaluate_batch(
+      nn::Tape& tape, const std::vector<const rl::Observation*>& obs) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return "GNN"; }
 
-  // Serving micro-batches: stacks same-topology observations into one
-  // disjoint-copies graph and runs a single encode-process-decode
-  // forward.  Row b of `out` is bit-identical to action_mean(*obs[b]).
-  // Returns false when the observations do not share connectivity.
+  // Serving micro-batches: one encode-process-decode forward over the
+  // union of the observations' graphs.  Row b of `out` is bit-identical
+  // to action_mean(*obs[b]).  Returns false when the observations differ
+  // in edge count (the rows of `out` would differ in length).
   bool action_means(nn::Tape& tape,
                     const std::vector<const rl::Observation*>& obs,
                     nn::Tape::Var& out) override;
@@ -93,6 +101,17 @@ class GnnPolicy final : public rl::Policy {
   std::size_t num_parameters() const;
 
  private:
+  // pi_ over the observations' disjoint-union graph: the one batched
+  // policy forward behind action_means (serving) and evaluate_batch
+  // (training).  Keeps the union and its inputs for vf_ to reuse.
+  struct UnionPass {
+    gnn::GraphSpec spec;
+    gnn::GraphVars in;
+    gnn::GraphVars pi;
+  };
+  UnionPass pi_over_union(nn::Tape& tape,
+                          const std::vector<const rl::Observation*>& obs);
+
   GnnPolicyConfig config_;
   gnn::EncodeProcessDecode pi_;
   gnn::EncodeProcessDecode vf_;
@@ -117,6 +136,8 @@ class IterativeGnnPolicy final : public rl::Policy {
                             const rl::Observation& obs) override;
   nn::Tape::Var value(nn::Tape& tape, const rl::Observation& obs) override;
   nn::Tape::Var log_std_row(nn::Tape& tape, int action_dim) override;
+  BatchEvaluation evaluate_batch(
+      nn::Tape& tape, const std::vector<const rl::Observation*>& obs) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return "GNN-Iterative"; }
 

@@ -24,49 +24,63 @@ GraphSpec GraphSpec::from(const graph::DiGraph& g) {
 }
 
 void GraphSpec::ensure_plans() {
-  if (senders_shared && receivers_shared && receiver_plan) return;
+  if (planned()) return;
   senders_shared = std::make_shared<const std::vector<int>>(senders);
   receivers_shared = std::make_shared<const std::vector<int>>(receivers);
   receiver_plan = std::make_shared<const nn::kernels::SegmentPlan>(
       nn::kernels::build_segment_plan(receivers, num_nodes));
+  if (!node_graph || !edge_graph) {
+    if (num_graphs != 1) {
+      throw std::invalid_argument(
+          "GraphSpec: a multi-graph spec needs node/edge graph ids");
+    }
+    node_graph = std::make_shared<const std::vector<int>>(
+        static_cast<std::size_t>(num_nodes), 0);
+    edge_graph = std::make_shared<const std::vector<int>>(senders.size(), 0);
+  }
+  node_pool_plan = std::make_shared<const nn::kernels::SegmentPlan>(
+      nn::kernels::build_segment_plan(*node_graph, num_graphs));
+  edge_pool_plan = std::make_shared<const nn::kernels::SegmentPlan>(
+      nn::kernels::build_segment_plan(*edge_graph, num_graphs));
 }
 
-BatchedGraphSpec BatchedGraphSpec::from(const GraphSpec& base, int batch) {
-  if (batch < 1) {
-    throw std::invalid_argument("BatchedGraphSpec: batch < 1");
+GraphSpec GraphSpec::disjoint_union(std::span<const GraphSpec* const> parts) {
+  if (parts.empty()) {
+    throw std::invalid_argument("GraphSpec::disjoint_union: no parts");
   }
-  BatchedGraphSpec b;
-  b.batch = batch;
-  b.base_nodes = base.num_nodes;
-  b.base_edges = base.num_edges();
-  b.spec.num_nodes = batch * base.num_nodes;
-  const std::size_t stacked_edges =
-      static_cast<std::size_t>(batch) * base.senders.size();
-  b.spec.senders.reserve(stacked_edges);
-  b.spec.receivers.reserve(stacked_edges);
+  GraphSpec u;
+  u.num_graphs = static_cast<int>(parts.size());
+  std::size_t nodes = 0;
+  std::size_t edges = 0;
+  for (const GraphSpec* p : parts) {
+    if (p->num_graphs != 1) {
+      throw std::invalid_argument(
+          "GraphSpec::disjoint_union: parts must be single graphs");
+    }
+    nodes += static_cast<std::size_t>(p->num_nodes);
+    edges += p->senders.size();
+  }
+  u.senders.reserve(edges);
+  u.receivers.reserve(edges);
   std::vector<int> node_ids;
   std::vector<int> edge_ids;
-  node_ids.reserve(static_cast<std::size_t>(b.spec.num_nodes));
-  edge_ids.reserve(stacked_edges);
-  for (int copy = 0; copy < batch; ++copy) {
-    const int offset = copy * base.num_nodes;
-    for (std::size_t e = 0; e < base.senders.size(); ++e) {
-      b.spec.senders.push_back(base.senders[e] + offset);
-      b.spec.receivers.push_back(base.receivers[e] + offset);
-      edge_ids.push_back(copy);
+  node_ids.reserve(nodes);
+  edge_ids.reserve(edges);
+  for (int g = 0; g < u.num_graphs; ++g) {
+    const GraphSpec& p = *parts[static_cast<std::size_t>(g)];
+    const int offset = u.num_nodes;
+    for (std::size_t e = 0; e < p.senders.size(); ++e) {
+      u.senders.push_back(p.senders[e] + offset);
+      u.receivers.push_back(p.receivers[e] + offset);
     }
-    for (int v = 0; v < base.num_nodes; ++v) node_ids.push_back(copy);
+    node_ids.insert(node_ids.end(), static_cast<std::size_t>(p.num_nodes), g);
+    edge_ids.insert(edge_ids.end(), p.senders.size(), g);
+    u.num_nodes += p.num_nodes;
   }
-  b.spec.ensure_plans();
-  b.node_graph_ids =
-      std::make_shared<const std::vector<int>>(std::move(node_ids));
-  b.edge_graph_ids =
-      std::make_shared<const std::vector<int>>(std::move(edge_ids));
-  b.node_pool_plan = std::make_shared<const nn::kernels::SegmentPlan>(
-      nn::kernels::build_segment_plan(*b.node_graph_ids, batch));
-  b.edge_pool_plan = std::make_shared<const nn::kernels::SegmentPlan>(
-      nn::kernels::build_segment_plan(*b.edge_graph_ids, batch));
-  return b;
+  u.node_graph = std::make_shared<const std::vector<int>>(std::move(node_ids));
+  u.edge_graph = std::make_shared<const std::vector<int>>(std::move(edge_ids));
+  u.ensure_plans();
+  return u;
 }
 
 namespace {
@@ -84,12 +98,16 @@ MlpConfig make_mlp_config(const std::vector<int>& hidden, nn::Activation act,
 void check_graph_vars(nn::Tape& tape, const GraphSpec& spec,
                       const GraphVars& in, int node_dim, int edge_dim,
                       int global_dim, const char* who) {
+  if (!spec.planned()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": GraphSpec has no plans (ensure_plans)");
+  }
   const auto& nv = tape.value(in.nodes);
   const auto& ev = tape.value(in.edges);
   const auto& gv = tape.value(in.globals);
   if (nv.rows() != spec.num_nodes || nv.cols() != node_dim ||
       ev.rows() != spec.num_edges() || ev.cols() != edge_dim ||
-      gv.rows() != 1 || gv.cols() != global_dim) {
+      gv.rows() != spec.num_graphs || gv.cols() != global_dim) {
     throw std::invalid_argument(
         std::string(who) + ": graph attribute shapes " + nv.shape_str() +
         "/" + ev.shape_str() + "/" + gv.shape_str() +
@@ -118,103 +136,57 @@ GraphVars GnBlock::forward(Tape& tape, const GraphSpec& spec,
                            const GraphVars& in) {
   check_graph_vars(tape, spec, in, config_.node_in, config_.edge_in,
                    config_.global_in, "GnBlock");
-  const int num_edges = spec.num_edges();
 
   // --- phi_e: update every edge from [e_k, v_sender, v_receiver, u] ---
+  // Projected form: each row block of the first layer's weight multiplies
+  // its own input at that input's granularity (edge, node, graph), and
+  // the node and graph products are gathered onto edges.
   obs::ScopedTimer edge_timer("gnn/block/edge");
-  // Planned specs share index vectors / the bucketed segment plan with
-  // the tape by pointer; unplanned (hand-rolled) specs copy per call.
-  const bool planned =
-      spec.senders_shared && spec.receivers_shared && spec.receiver_plan;
-  const Tape::Var sender_feats =
-      planned ? tape.gather_rows(in.nodes, spec.senders_shared)
-              : tape.gather_rows(in.nodes, spec.senders);
-  const Tape::Var receiver_feats =
-      planned ? tape.gather_rows(in.nodes, spec.receivers_shared)
-              : tape.gather_rows(in.nodes, spec.receivers);
-  const Tape::Var u_per_edge = tape.broadcast_rows(in.globals, num_edges);
-  Tape::Var edge_input = tape.concat_cols(in.edges, sender_feats);
-  edge_input = tape.concat_cols(edge_input, receiver_feats);
-  edge_input = tape.concat_cols(edge_input, u_per_edge);
-  const Tape::Var edges_out = edge_mlp_.forward(tape, edge_input);
+  const Mlp::Layer first = edge_mlp_.first_layer(tape);
+  const int ei = config_.edge_in;
+  const int ni = config_.node_in;
+  const Tape::Var w_e = tape.slice_rows(first.weight, 0, ei);
+  const Tape::Var w_s = tape.slice_rows(first.weight, ei, ni);
+  const Tape::Var w_r = tape.slice_rows(first.weight, ei + ni, ni);
+  const Tape::Var w_u =
+      tape.slice_rows(first.weight, ei + 2 * ni, config_.global_in);
+  Tape::Var edge_pre =
+      tape.linear(in.edges, w_e, first.bias, nn::Activation::kIdentity);
+  edge_pre = tape.add_gathered(edge_pre, tape.matmul(in.nodes, w_s),
+                               spec.senders_shared);
+  edge_pre = tape.add_gathered(edge_pre, tape.matmul(in.nodes, w_r),
+                               spec.receivers_shared);
+  edge_pre = tape.add_gathered(edge_pre, tape.matmul(in.globals, w_u),
+                               spec.edge_graph);
+  const Tape::Var edges_out = edge_mlp_.forward_from(tape, edge_pre);
   edge_timer.stop();
 
   // --- rho_{e->v}: aggregate updated edges at their receiver ---
   obs::ScopedTimer node_timer("gnn/block/node");
-  const Tape::Var agg_edges =
-      planned ? tape.segment_sum(edges_out, spec.receiver_plan)
-              : tape.segment_sum(edges_out, spec.receivers, spec.num_nodes);
+  const Tape::Var agg_edges = tape.segment_sum(edges_out, spec.receiver_plan);
 
   // --- phi_v: update every node from [agg_edges, v_i, u] ---
-  const Tape::Var u_per_node = tape.broadcast_rows(in.globals, spec.num_nodes);
-  Tape::Var node_input = tape.concat_cols(agg_edges, in.nodes);
-  node_input = tape.concat_cols(node_input, u_per_node);
-  const Tape::Var nodes_out = node_mlp_.forward(tape, node_input);
+  // Same projection for the global block: u * W_u once per graph.
+  const Mlp::Layer node_first = node_mlp_.first_layer(tape);
+  const int per_node = config_.edge_out + ni;
+  Tape::Var node_pre =
+      tape.linear(tape.concat_cols(agg_edges, in.nodes),
+                  tape.slice_rows(node_first.weight, 0, per_node),
+                  node_first.bias, nn::Activation::kIdentity);
+  node_pre = tape.add_gathered(
+      node_pre,
+      tape.matmul(in.globals, tape.slice_rows(node_first.weight, per_node,
+                                              config_.global_in)),
+      spec.node_graph);
+  const Tape::Var nodes_out = node_mlp_.forward_from(tape, node_pre);
   node_timer.stop();
 
-  // --- rho_{e->u}, rho_{v->u}: pool everything for the global update ---
+  // --- rho_{e->u}, rho_{v->u}: pool each graph for its global update ---
   obs::ScopedTimer global_timer("gnn/block/global");
-  const Tape::Var all_edges = tape.sum_rows(edges_out);
-  const Tape::Var all_nodes = tape.sum_rows(nodes_out);
+  const Tape::Var all_edges = tape.segment_sum(edges_out, spec.edge_pool_plan);
+  const Tape::Var all_nodes = tape.segment_sum(nodes_out, spec.node_pool_plan);
 
   // --- phi_u ---
-  Tape::Var global_input = tape.concat_cols(all_edges, all_nodes);
-  global_input = tape.concat_cols(global_input, in.globals);
-  const Tape::Var globals_out = global_mlp_.forward(tape, global_input);
-  global_timer.stop();
-
-  return GraphVars{nodes_out, edges_out, globals_out};
-}
-
-GraphVars GnBlock::forward_batched(Tape& tape, const BatchedGraphSpec& bspec,
-                                   const GraphVars& in) {
-  const GraphSpec& spec = bspec.spec;
-  const auto& nv = tape.value(in.nodes);
-  const auto& ev = tape.value(in.edges);
-  const auto& gv = tape.value(in.globals);
-  if (nv.rows() != spec.num_nodes || nv.cols() != config_.node_in ||
-      ev.rows() != spec.num_edges() || ev.cols() != config_.edge_in ||
-      gv.rows() != bspec.batch || gv.cols() != config_.global_in) {
-    throw std::invalid_argument(
-        std::string("GnBlock (batched): graph attribute shapes ") +
-        nv.shape_str() + "/" + ev.shape_str() + "/" + gv.shape_str() +
-        " do not match the configured sizes");
-  }
-
-  // Identical to forward() except where the single global row forces a
-  // shape: broadcast_rows(globals) becomes a gather by copy id (the same
-  // value copies, one row per stacked element) and the global pooling
-  // sum_rows becomes a per-copy segment sum.  Each copy's rows are
-  // contiguous and ascending, so the segment buckets accumulate in
-  // exactly sum_rows' order — the kernel contract that keeps the batched
-  // forward bit-identical.
-  obs::ScopedTimer edge_timer("gnn/block/edge");
-  const Tape::Var sender_feats =
-      tape.gather_rows(in.nodes, spec.senders_shared);
-  const Tape::Var receiver_feats =
-      tape.gather_rows(in.nodes, spec.receivers_shared);
-  const Tape::Var u_per_edge =
-      tape.gather_rows(in.globals, bspec.edge_graph_ids);
-  Tape::Var edge_input = tape.concat_cols(in.edges, sender_feats);
-  edge_input = tape.concat_cols(edge_input, receiver_feats);
-  edge_input = tape.concat_cols(edge_input, u_per_edge);
-  const Tape::Var edges_out = edge_mlp_.forward(tape, edge_input);
-  edge_timer.stop();
-
-  obs::ScopedTimer node_timer("gnn/block/node");
-  const Tape::Var agg_edges = tape.segment_sum(edges_out, spec.receiver_plan);
-  const Tape::Var u_per_node =
-      tape.gather_rows(in.globals, bspec.node_graph_ids);
-  Tape::Var node_input = tape.concat_cols(agg_edges, in.nodes);
-  node_input = tape.concat_cols(node_input, u_per_node);
-  const Tape::Var nodes_out = node_mlp_.forward(tape, node_input);
-  node_timer.stop();
-
-  obs::ScopedTimer global_timer("gnn/block/global");
-  const Tape::Var all_edges =
-      tape.segment_sum(edges_out, bspec.edge_pool_plan);
-  const Tape::Var all_nodes =
-      tape.segment_sum(nodes_out, bspec.node_pool_plan);
   Tape::Var global_input = tape.concat_cols(all_edges, all_nodes);
   global_input = tape.concat_cols(global_input, in.globals);
   const Tape::Var globals_out = global_mlp_.forward(tape, global_input);
@@ -329,22 +301,6 @@ GraphVars EncodeProcessDecode::forward(Tape& tape, const GraphSpec& spec,
         tape.concat_cols(encoded.edges, latent.edges),
         tape.concat_cols(encoded.globals, latent.globals)};
     latent = core_.forward(tape, spec, core_in);
-  }
-  return decoder_.forward(tape, latent);
-}
-
-GraphVars EncodeProcessDecode::forward_batched(Tape& tape,
-                                               const BatchedGraphSpec& bspec,
-                                               const GraphVars& in) {
-  obs::ScopedTimer forward_timer("gnn/forward");
-  const GraphVars encoded = encoder_.forward(tape, in);
-  GraphVars latent = encoded;
-  for (int step = 0; step < config_.steps; ++step) {
-    const GraphVars core_in{
-        tape.concat_cols(encoded.nodes, latent.nodes),
-        tape.concat_cols(encoded.edges, latent.edges),
-        tape.concat_cols(encoded.globals, latent.globals)};
-    latent = core_.forward_batched(tape, bspec, core_in);
   }
   return decoder_.forward(tape, latent);
 }

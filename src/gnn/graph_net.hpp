@@ -10,6 +10,17 @@
 //   MLPs, and the three rho pooling functions as unsorted segment sums —
 //   exactly TensorFlow's tf.unsorted_segment_sum, as stated in §VII-A.
 //
+// phi_e's input is the concatenation [e_k, v_sender, v_receiver, u], so
+// its first layer splits into row blocks of one weight matrix:
+//   E*W_e + (V*W_s)[senders] + (V*W_r)[receivers] + (u*W_u)[graph] + b.
+// The node and global blocks are projected once per node / graph and
+// then gathered onto edges, which is less than half the multiply-adds of
+// the concatenated form on the catalogue topologies (E is ~2.5x N).
+// phi_v's global block is projected once per graph the same way.
+//
+// Every forward runs over a disjoint union of graphs (GraphSpec), so one
+// pass can evaluate a whole PPO minibatch, even a mixed-topology one.
+//
 // EncodeProcessDecode composes an independent encoder (per-element MLPs,
 // no message passing), a recurrent full GN core applied `steps` times on
 // the concatenation of the encoded input and the previous latent (the
@@ -17,6 +28,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -27,59 +39,52 @@
 
 namespace gddr::gnn {
 
-// Immutable connectivity: which node each directed edge leaves (sender)
-// and enters (receiver).
+// Immutable connectivity of a disjoint union of one or more graphs:
+// which node each directed edge leaves (sender) and enters (receiver),
+// plus the graph each node and edge row belongs to.  Graph g's rows are
+// contiguous and ascending (node_graph = 0,...,0,1,...,1,...), and each
+// graph may have its own topology.  A single graph is the union of one.
 //
-// The shared_ptr members are per-topology kernel plans, built once by
+// The shared_ptr members are per-spec kernel plans, built once by
 // ensure_plans() and then reused by every GnBlock::forward on this spec —
 // the tape retains them by pointer, so repeated forwards copy no index
-// data and the bucketed segment-sum sorts the receiver ids exactly once.
+// data and each bucketed segment sum sorts its ids exactly once.
 struct GraphSpec {
-  int num_nodes = 0;
+  int num_nodes = 0;   // summed over the union
+  int num_graphs = 1;
   std::vector<int> senders;
   std::vector<int> receivers;
 
-  // Built by ensure_plans(); null until then (GnBlock falls back to the
-  // unplanned tape ops when null, so hand-rolled specs keep working).
+  // Built by ensure_plans(); null until then.  GnBlock::forward requires
+  // them (a spec from from() or disjoint_union() is always planned).
   std::shared_ptr<const std::vector<int>> senders_shared;
   std::shared_ptr<const std::vector<int>> receivers_shared;
   std::shared_ptr<const nn::kernels::SegmentPlan> receiver_plan;
-
-  static GraphSpec from(const graph::DiGraph& g);
-  // Idempotently builds the shared index vectors and the bucketed
-  // segment-sum plan from senders/receivers/num_nodes.
-  void ensure_plans();
-  int num_edges() const { return static_cast<int>(senders.size()); }
-};
-
-// On-tape attribute set for one graph.
-struct GraphVars {
-  nn::Tape::Var nodes;    // N x node_dim
-  nn::Tape::Var edges;    // E x edge_dim
-  nn::Tape::Var globals;  // 1 x global_dim
-};
-
-// Connectivity for `batch` disjoint copies of one base graph stacked into
-// a single big graph (copy b's node i becomes stacked node b*N + i), plus
-// the bookkeeping to broadcast per-copy globals and pool per copy.  The
-// serving engine batches same-topology requests through one forward pass
-// with this: every kernel touched (gather / segment-sum / row-wise MLPs)
-// accumulates each output element over the same values in the same order
-// as the unbatched forward, so the stacked result is bit-identical to
-// `batch` separate forwards (asserted in test_gnn).
-struct BatchedGraphSpec {
-  GraphSpec spec;  // stacked connectivity, batch*N nodes / batch*E edges
-  int batch = 0;
-  int base_nodes = 0;
-  int base_edges = 0;
-  // Copy id per stacked row, ascending (0,...,0,1,...,1,...).
-  std::shared_ptr<const std::vector<int>> node_graph_ids;
-  std::shared_ptr<const std::vector<int>> edge_graph_ids;
-  // Bucketed plans pooling stacked rows per copy (rho_{e->u}, rho_{v->u}).
+  // Graph id per node / edge row.  ensure_plans() fills them for a single
+  // graph when unset; disjoint_union() sets them from its parts.
+  std::shared_ptr<const std::vector<int>> node_graph;
+  std::shared_ptr<const std::vector<int>> edge_graph;
+  // Pool rows per graph (rho_{v->u}, rho_{e->u}).
   std::shared_ptr<const nn::kernels::SegmentPlan> node_pool_plan;
   std::shared_ptr<const nn::kernels::SegmentPlan> edge_pool_plan;
 
-  static BatchedGraphSpec from(const GraphSpec& base, int batch);
+  static GraphSpec from(const graph::DiGraph& g);
+  // Disjoint union of `parts` in order: part g's node i becomes node
+  // (nodes of parts 0..g-1) + i, and its edges keep their order.
+  static GraphSpec disjoint_union(std::span<const GraphSpec* const> parts);
+  // Idempotently builds the shared index vectors, graph ids and bucketed
+  // segment plans from senders/receivers/num_nodes.
+  void ensure_plans();
+  bool planned() const { return receiver_plan && edge_pool_plan; }
+  int num_edges() const { return static_cast<int>(senders.size()); }
+};
+
+// On-tape attribute set for a graph union, one row per node, edge and
+// graph.
+struct GraphVars {
+  nn::Tape::Var nodes;    // N x node_dim
+  nn::Tape::Var edges;    // E x edge_dim
+  nn::Tape::Var globals;  // num_graphs x global_dim
 };
 
 struct GnBlockConfig {
@@ -98,15 +103,12 @@ class GnBlock {
  public:
   GnBlock(const GnBlockConfig& config, util::Rng& rng);
 
+  // Forward over any union `spec` describes.  Every kernel touched is
+  // row-local or accumulates each output element over one graph's rows in
+  // ascending order, so each output row is bit-identical to the same row
+  // of a forward over that graph alone.
   GraphVars forward(nn::Tape& tape, const GraphSpec& spec,
                     const GraphVars& in);
-
-  // Stacked-batch forward: `in` carries bspec.batch disjoint graph copies
-  // (nodes batch*N x node_in, edges batch*E x edge_in, globals
-  // batch x global_in) and every output row is bit-identical to the
-  // corresponding row of a per-copy forward().
-  GraphVars forward_batched(nn::Tape& tape, const BatchedGraphSpec& bspec,
-                            const GraphVars& in);
 
   std::vector<nn::Parameter*> parameters();
   std::size_t num_parameters() const;
@@ -167,14 +169,10 @@ class EncodeProcessDecode {
  public:
   EncodeProcessDecode(const EncodeProcessDecodeConfig& config, util::Rng& rng);
 
+  // Forward over any union `spec` describes (see GnBlock::forward); the
+  // encoder and decoder are row-independent MLPs.
   GraphVars forward(nn::Tape& tape, const GraphSpec& spec,
                     const GraphVars& in);
-
-  // Stacked-batch forward (see GnBlock::forward_batched).  The encoder
-  // and decoder are row-independent MLPs, so only the core's broadcast
-  // and pooling change shape.
-  GraphVars forward_batched(nn::Tape& tape, const BatchedGraphSpec& bspec,
-                            const GraphVars& in);
 
   std::vector<nn::Parameter*> parameters();
   std::size_t num_parameters() const;

@@ -42,12 +42,14 @@ Tape::Var diag_gaussian_log_prob(Tape& tape, Tape::Var mean,
   return tape.sum_cols(elem);
 }
 
+Tape::Var diag_gaussian_entropy_elements(Tape& tape, Tape::Var log_std) {
+  return tape.add_scalar(log_std, static_cast<float>(kLogSqrt2Pi + 0.5));
+}
+
 Tape::Var diag_gaussian_entropy(Tape& tape, Tape::Var log_std) {
-  // per-element entropy: log sigma + 0.5 log(2 pi e)
-  const float c = static_cast<float>(kLogSqrt2Pi + 0.5);
-  const Tape::Var per_elem = tape.add_scalar(log_std, c);
   // Sum over action dims, mean over batch rows.
-  return tape.mean_all(tape.sum_cols(per_elem));
+  return tape.mean_all(
+      tape.sum_cols(diag_gaussian_entropy_elements(tape, log_std)));
 }
 
 }  // namespace gddr::nn

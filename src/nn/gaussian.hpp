@@ -40,6 +40,10 @@ std::vector<double> sample_diag_gaussian(std::span<const double> mean,
 Tape::Var diag_gaussian_log_prob(Tape& tape, Tape::Var mean,
                                  Tape::Var log_std, const Tensor& actions);
 
+// Per-element entropy log sigma_j + 0.5 log(2 pi e), shaped like log_std
+// (the PPO update segment-sums it per sample).
+Tape::Var diag_gaussian_entropy_elements(Tape& tape, Tape::Var log_std);
+
 // Mean (over batch rows) entropy of the distribution, a 1x1 Var:
 // H = sum_j (log sigma_j + 0.5 log(2 pi e)).
 Tape::Var diag_gaussian_entropy(Tape& tape, Tape::Var log_std);

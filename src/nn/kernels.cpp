@@ -439,6 +439,7 @@ Tensor TensorArena::take(std::size_t n) {
   if (!bucket.empty()) {
     Tensor t = std::move(bucket.back());
     bucket.pop_back();
+    --pooled_;
     ++reuse_;
     return t;
   }
@@ -470,6 +471,7 @@ void TensorArena::release(Tensor&& t) {
   if (t.capacity() < (std::size_t{1} << kMinClassLog2)) return;
   const int cls = class_for_release(t.capacity());
   free_[static_cast<std::size_t>(cls)].push_back(std::move(t));
+  ++pooled_;
 }
 
 }  // namespace gddr::nn::kernels

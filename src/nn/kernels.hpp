@@ -159,6 +159,8 @@ class TensorArena {
   // Number of acquires served from the pool / from fresh allocations.
   std::uint64_t reuse_count() const { return reuse_; }
   std::uint64_t miss_count() const { return misses_; }
+  // Buffers currently held in the free lists.
+  std::size_t pooled_count() const { return pooled_; }
 
  private:
   static constexpr int kClasses = 32;
@@ -177,6 +179,7 @@ class TensorArena {
   std::size_t bytes_allocated_ = 0;
   std::uint64_t reuse_ = 0;
   std::uint64_t misses_ = 0;
+  std::size_t pooled_ = 0;
 };
 
 }  // namespace kernels

@@ -47,6 +47,39 @@ Tape::Var Mlp::forward(Tape& tape, Tape::Var x) {
   return h;
 }
 
+Mlp::Layer Mlp::first_layer(Tape& tape) {
+  return Layer{tape.leaf(weights_.front()), tape.leaf(biases_.front())};
+}
+
+Tape::Var Mlp::forward_from(Tape& tape, Tape::Var pre) {
+  if (tape.value(pre).cols() != weights_.front().value.cols()) {
+    throw std::invalid_argument("Mlp::forward_from: pre-activation has " +
+                                tape.value(pre).shape_str() +
+                                ", expected cols " +
+                                std::to_string(weights_.front().value.cols()));
+  }
+  const auto activation = [&](size_t l) {
+    return l + 1 == weights_.size() ? config_.output_activation
+                                    : config_.hidden_activation;
+  };
+  Tape::Var h = pre;
+  switch (activation(0)) {
+    case Activation::kIdentity:
+      break;
+    case Activation::kRelu:
+      h = tape.relu(h);
+      break;
+    case Activation::kTanh:
+      h = tape.tanh(h);
+      break;
+  }
+  for (size_t l = 1; l < weights_.size(); ++l) {
+    h = tape.linear(h, tape.leaf(weights_[l]), tape.leaf(biases_[l]),
+                    activation(l));
+  }
+  return h;
+}
+
 std::vector<Parameter*> Mlp::parameters() {
   std::vector<Parameter*> params;
   params.reserve(weights_.size() * 2);

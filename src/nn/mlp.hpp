@@ -30,6 +30,19 @@ class Mlp {
   // Applies the network to every row of x (N x in -> N x out).
   Tape::Var forward(Tape& tape, Tape::Var x);
 
+  // Split form of forward() for callers that assemble layer 0's
+  // pre-activation x * W0 + b0 themselves (gnn::GnBlock projects row
+  // blocks of W0 per node and per graph, then gathers them onto edges).
+  // first_layer() records layer 0's weight (in x width) and bias leaves;
+  // forward_from() applies layer 0's activation to `pre` and runs the
+  // remaining layers, so forward_from(x * W0 + b0) == forward(x).
+  struct Layer {
+    Tape::Var weight;
+    Tape::Var bias;
+  };
+  Layer first_layer(Tape& tape);
+  Tape::Var forward_from(Tape& tape, Tape::Var pre);
+
   std::vector<Parameter*> parameters();
   std::size_t num_parameters() const;
 

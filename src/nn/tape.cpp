@@ -1,5 +1,6 @@
 #include "nn/tape.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -50,8 +51,6 @@ void Tape::reset() {
 Tape::Var Tape::constant(const Tensor& value) {
   return push(alloc_copy(value), {});
 }
-
-Tape::Var Tape::constant(Tensor&& value) { return push(std::move(value), {}); }
 
 Tape::Var Tape::zeros(int rows, int cols) { return push(alloc(rows, cols), {}); }
 
@@ -407,6 +406,27 @@ Tape::Var Tape::slice_cols(Var m, int start, int len) {
   });
 }
 
+Tape::Var Tape::slice_rows(Var m, int start, int len) {
+  check_var(m, "slice_rows");
+  const Tensor& mv = node(m).value;
+  if (start < 0 || len <= 0 || start + len > mv.rows()) {
+    throw std::invalid_argument("slice_rows: range [" + std::to_string(start) +
+                                ", +" + std::to_string(len) + ") of " +
+                                mv.shape_str());
+  }
+  const auto offset = static_cast<std::size_t>(start) *
+                      static_cast<std::size_t>(mv.cols());
+  Tensor out = alloc(len, mv.cols());
+  const auto src = mv.data().subspan(offset, out.size());
+  std::copy(src.begin(), src.end(), out.data().begin());
+  const int im = m.id;
+  return push(std::move(out), [im, offset](Tape& t, int self) {
+    const auto g = t.grad_of(self).data();
+    auto gm = t.grad_of(im).data().subspan(offset, g.size());
+    for (std::size_t i = 0; i < g.size(); ++i) gm[i] += g[i];
+  });
+}
+
 namespace {
 
 void gather_rows_forward(const gddr::nn::Tensor& mv,
@@ -448,23 +468,41 @@ Tape::Var Tape::gather_rows(Var m, std::vector<int> indices) {
               });
 }
 
-Tape::Var Tape::gather_rows(Var m,
-                            std::shared_ptr<const std::vector<int>> indices) {
-  check_var(m, "gather_rows");
-  if (!indices) throw std::invalid_argument("gather_rows: null indices");
+Tape::Var Tape::add_gathered(Var base, Var m,
+                             std::shared_ptr<const std::vector<int>> indices) {
+  check_var(base, "add_gathered");
+  check_var(m, "add_gathered");
+  if (!indices) throw std::invalid_argument("add_gathered: null indices");
+  const Tensor& bv = node(base).value;
   const Tensor& mv = node(m).value;
+  if (bv.cols() != mv.cols() ||
+      indices->size() != static_cast<std::size_t>(bv.rows())) {
+    throw std::invalid_argument("add_gathered: " + bv.shape_str() + " + " +
+                                mv.shape_str() + " gathered by " +
+                                std::to_string(indices->size()) + " indices");
+  }
   for (int idx : *indices) {
     if (idx < 0 || idx >= mv.rows()) {
-      throw std::invalid_argument("gather_rows: index out of range");
+      throw std::invalid_argument("add_gathered: index out of range");
     }
   }
-  Tensor out = alloc(static_cast<int>(indices->size()), mv.cols());
-  gather_rows_forward(mv, *indices, out);
+  Tensor out = alloc_copy(bv);
+  const auto cols = static_cast<std::size_t>(bv.cols());
+  const float* src = mv.data().data();
+  float* dst = out.data().data();
+  for (std::size_t i = 0; i < indices->size(); ++i) {
+    const float* row = src + static_cast<std::size_t>((*indices)[i]) * cols;
+    float* orow = dst + i * cols;
+    for (std::size_t j = 0; j < cols; ++j) orow[j] += row[j];
+  }
+  const int ib = base.id;
   const int im = m.id;
   const std::vector<int>* idx = indices.get();
   retained_.push_back(std::move(indices));
-  return push(std::move(out), [im, idx](Tape& t, int self) {
-    gather_rows_backward(t.grad_of(self), *idx, t.grad_of(im));
+  return push(std::move(out), [ib, im, idx](Tape& t, int self) {
+    const Tensor& g = t.grad_of(self);
+    t.grad_of(ib).add_in_place(g);
+    gather_rows_backward(g, *idx, t.grad_of(im));
   });
 }
 
@@ -540,9 +578,8 @@ Tape::Var Tape::relu(Var x) {
     const auto g = t.grad_of(self).data();
     const auto xv = t.value_of(ix).data();
     auto gx = t.grad_of(ix).data();
-    for (size_t i = 0; i < g.size(); ++i) {
-      if (xv[i] > 0.0F) gx[i] += g[i];
-    }
+    // Branch-free so the loop vectorises.
+    for (size_t i = 0; i < g.size(); ++i) gx[i] += xv[i] > 0.0F ? g[i] : 0.0F;
   });
 }
 

@@ -62,8 +62,19 @@ class Tape {
   void reset();
 
   // --- leaves ---
-  Var constant(const Tensor& value);  // copies via the arena
-  Var constant(Tensor&& value);       // adopts the buffer
+  // Copies `value` into arena storage.  There is deliberately no adopting
+  // overload: reset() pools every node buffer, so a buffer the arena never
+  // handed out would grow the pool by one per call, forever.
+  Var constant(const Tensor& value);
+  // rows x cols constant built in place: `fill(Tensor&)` writes a
+  // zero-filled arena buffer before it joins the tape.  The allocation-free
+  // way to assemble per-iteration inputs (e.g. a stacked PPO minibatch).
+  template <class Fill>
+  Var constant(int rows, int cols, Fill&& fill) {
+    Tensor value = alloc(rows, cols);
+    fill(value);
+    return push(std::move(value), {});
+  }
   // Zero-filled rows x cols constant straight from the arena.
   Var zeros(int rows, int cols);
   // Gradient flows into `p.grad` on backward(); `p` must outlive the tape.
@@ -92,12 +103,20 @@ class Tape {
   Var reshape(Var x, int rows, int cols);
   Var concat_cols(Var a, Var b);
   Var slice_cols(Var m, int start, int len);
+  // Rows [start, start + len) of m (one contiguous copy); backward adds
+  // into the same rows.  Reads a row block of a weight matrix, e.g. the
+  // per-input blocks of gnn::GnBlock's projected edge update.
+  Var slice_rows(Var m, int start, int len);
   // out[i] = m[indices[i]] (rows); backward scatter-adds.
   Var gather_rows(Var m, std::vector<int> indices);
-  // Shared-index variant: the index vector is retained by pointer, so
-  // repeated forward passes on one topology copy nothing and the closure
-  // stays within std::function's small-buffer optimisation.
-  Var gather_rows(Var m, std::shared_ptr<const std::vector<int>> indices);
+  // out[i] = base[i] + m[indices[i]] (rows) in one pass: a gather fused
+  // into the add that consumes it.  Backward adds into base's grad and
+  // scatter-adds into m's.  indices.size() must equal base's row count.
+  // The index vector is retained by pointer, so repeated forward passes
+  // on one topology copy nothing and the closure stays within
+  // std::function's small-buffer optimisation.
+  Var add_gathered(Var base, Var m,
+                   std::shared_ptr<const std::vector<int>> indices);
   // out[s] = sum of rows i with segments[i] == s; the unsorted_segment_sum
   // pooling of the paper's GN blocks.
   Var segment_sum(Var m, std::vector<int> segments, int num_segments);
@@ -143,6 +162,9 @@ class Tape {
   std::size_t arena_bytes() const { return arena_.bytes_allocated(); }
   std::uint64_t arena_reuse() const { return arena_.reuse_count(); }
   std::uint64_t arena_misses() const { return arena_.miss_count(); }
+  // Buffers waiting in the arena's free lists: flat in steady state, so a
+  // long-lived tape cannot grow without bound.
+  std::size_t arena_pooled() const { return arena_.pooled_count(); }
 
  private:
   struct Node {

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "nn/gaussian.hpp"
 #include "obs/metrics.hpp"
@@ -84,6 +87,124 @@ PpoIterationStats PpoTrainer::train_iteration() {
   return stats;
 }
 
+MinibatchLoss ppo_minibatch_loss(Tape& tape, Policy& policy,
+                                 const std::vector<const StepSample*>& batch,
+                                 const PpoConfig& config) {
+  const int b_size = static_cast<int>(batch.size());
+  if (b_size == 0) {
+    throw std::invalid_argument("ppo_minibatch_loss: empty minibatch");
+  }
+  std::vector<const Observation*> obs;
+  obs.reserve(batch.size());
+  std::vector<int> sample_of_element;  // sample id per action-element row
+  for (int b = 0; b < b_size; ++b) {
+    const StepSample& s = *batch[static_cast<std::size_t>(b)];
+    obs.push_back(&s.obs);
+    sample_of_element.insert(sample_of_element.end(), s.action.size(), b);
+  }
+  Tensor actions(static_cast<int>(sample_of_element.size()), 1);
+  {
+    int row = 0;
+    for (const StepSample* s : batch) {
+      for (double a : s->action) actions.at(row++, 0) = static_cast<float>(a);
+    }
+  }
+
+  const Policy::BatchEvaluation eval = policy.evaluate_batch(tape, obs);
+  if (tape.value(eval.means).rows() != actions.rows()) {
+    throw std::invalid_argument(
+        "ppo_minibatch_loss: policy returned " +
+        tape.value(eval.means).shape_str() + " action elements for " +
+        std::to_string(actions.rows()) + " sampled ones");
+  }
+  const auto per_sample = std::make_shared<const nn::kernels::SegmentPlan>(
+      nn::kernels::build_segment_plan(std::move(sample_of_element), b_size));
+
+  // log pi(a|s) per sample: per-element densities summed over each
+  // sample's contiguous rows.
+  const Tape::Var log_prob = tape.segment_sum(
+      nn::diag_gaussian_log_prob(tape, eval.means, eval.log_std, actions),
+      per_sample);
+
+  // One B x 1 constant per rollout field, built in the tape's arena (the
+  // update tape is long-lived, so these must not allocate per minibatch).
+  const auto column = [&](auto field) {
+    return tape.constant(b_size, 1, [&](Tensor& t) {
+      for (int b = 0; b < b_size; ++b) {
+        t.at(b, 0) = field(*batch[static_cast<std::size_t>(b)]);
+      }
+    });
+  };
+
+  // ratio = exp(logpi - logpi_old); clipped surrogate.
+  const auto clip = static_cast<float>(config.clip_epsilon);
+  const Tape::Var ratio = tape.exp(tape.sub(
+      log_prob, column([](const StepSample& s) {
+        return static_cast<float>(s.log_prob);
+      })));
+  const Tape::Var adv = column([](const StepSample& s) {
+    return static_cast<float>(s.advantage);
+  });
+  const Tape::Var surr1 = tape.mul(ratio, adv);
+  const Tape::Var surr2 =
+      tape.mul(tape.clip(ratio, 1.0F - clip, 1.0F + clip), adv);
+  const Tape::Var policy_loss = tape.neg(tape.minimum(surr1, surr2));
+
+  // Clipped value loss (PPO2 style).
+  const Tape::Var v = eval.values;
+  const Tape::Var v_err = tape.square(tape.sub(
+      v, column([](const StepSample& s) {
+        return static_cast<float>(s.return_);
+      })));
+  const Tape::Var v_clipped = tape.add(
+      tape.clip(tape.sub(v, column([](const StepSample& s) {
+                  return static_cast<float>(s.value);
+                })),
+                -clip, clip),
+      column([](const StepSample& s) {
+        return static_cast<float>(s.value) - static_cast<float>(s.return_);
+      }));
+  const Tape::Var value_loss =
+      tape.scale(tape.maximum(v_err, tape.square(v_clipped)), 0.5F);
+
+  const Tape::Var entropy = tape.segment_sum(
+      nn::diag_gaussian_entropy_elements(tape, eval.log_std), per_sample);
+
+  Tape::Var loss = tape.add(
+      policy_loss,
+      tape.scale(value_loss, static_cast<float>(config.value_coef)));
+  loss = tape.sub(
+      loss, tape.scale(entropy, static_cast<float>(config.entropy_coef)));
+
+  MinibatchLoss out;
+  out.total =
+      tape.scale(tape.sum_all(loss), 1.0F / static_cast<float>(b_size));
+
+  // Diagnostics, accumulated per sample in double.
+  const Tensor& lp = tape.value(log_prob);
+  const Tensor& pl = tape.value(policy_loss);
+  const Tensor& vl = tape.value(value_loss);
+  const Tensor& ent = tape.value(entropy);
+  for (int b = 0; b < b_size; ++b) {
+    const StepSample& s = *batch[static_cast<std::size_t>(b)];
+    const double lp_new = lp.at(b, 0);
+    out.approx_kl += s.log_prob - lp_new;
+    if (std::abs(std::exp(lp_new - s.log_prob) - 1.0) > config.clip_epsilon) {
+      out.clip_fraction += 1.0;
+    }
+    out.policy_loss += pl.at(b, 0);
+    out.value_loss += vl.at(b, 0);
+    out.entropy += ent.at(b, 0);
+  }
+  const auto n = static_cast<double>(b_size);
+  out.policy_loss /= n;
+  out.value_loss /= n;
+  out.entropy /= n;
+  out.approx_kl /= n;
+  out.clip_fraction /= n;
+  return out;
+}
+
 PpoIterationStats PpoTrainer::update(RolloutBuffer& buffer) {
   PpoIterationStats stats;
   auto& samples = buffer.samples();
@@ -97,8 +218,7 @@ PpoIterationStats PpoTrainer::update(RolloutBuffer& buffer) {
   double clip_acc = 0.0;
   long batches = 0;
   util::RunningStat minibatch_loss;  // per-minibatch mean total loss
-
-  const float clip = static_cast<float>(config_.clip_epsilon);
+  std::vector<const StepSample*> batch;
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng_.shuffle(order);
@@ -106,7 +226,8 @@ PpoIterationStats PpoTrainer::update(RolloutBuffer& buffer) {
          start += static_cast<size_t>(config_.minibatch_size)) {
       const size_t end = std::min(
           order.size(), start + static_cast<size_t>(config_.minibatch_size));
-      const auto batch_size = static_cast<float>(end - start);
+      batch.clear();
+      for (size_t k = start; k < end; ++k) batch.push_back(&samples[order[k]]);
 
       // Member tape, reset per minibatch: the arena recycles every
       // value/grad buffer, so steady-state updates allocate nothing.
@@ -115,72 +236,13 @@ PpoIterationStats PpoTrainer::update(RolloutBuffer& buffer) {
       Tape& tape = update_tape_;
       tape.reset();
       tape.set_thread_pool(pool_);
-      Tape::Var total_loss = tape.zeros(1, 1);
-      double batch_kl = 0.0;
-      double batch_clipfrac = 0.0;
-      double batch_policy_loss = 0.0;
-      double batch_value_loss = 0.0;
-      double batch_entropy = 0.0;
-
-      for (size_t k = start; k < end; ++k) {
-        const StepSample& s = samples[order[k]];
-        const int adim = static_cast<int>(s.action.size());
-
-        const Tape::Var mean = policy_.action_mean(tape, s.obs);
-        const Tape::Var log_std = policy_.log_std_row(tape, adim);
-        const Tensor action_row = Tensor::row(
-            std::span<const double>(s.action.data(), s.action.size()));
-        const Tape::Var log_prob = nn::diag_gaussian_log_prob(
-            tape, mean, log_std, action_row);  // 1x1
-
-        // ratio = exp(logpi - logpi_old)
-        const Tape::Var ratio = tape.exp(tape.add_scalar(
-            log_prob, static_cast<float>(-s.log_prob)));
-        const auto adv = static_cast<float>(s.advantage);
-        const Tape::Var surr1 = tape.scale(ratio, adv);
-        const Tape::Var surr2 =
-            tape.scale(tape.clip(ratio, 1.0F - clip, 1.0F + clip), adv);
-        const Tape::Var policy_obj = tape.minimum(surr1, surr2);
-        const Tape::Var policy_loss = tape.neg(policy_obj);
-
-        // Clipped value loss (PPO2 style).
-        const Tape::Var v = policy_.value(tape, s.obs);
-        const auto v_old = static_cast<float>(s.value);
-        const auto ret = static_cast<float>(s.return_);
-        const Tape::Var v_err = tape.square(tape.add_scalar(v, -ret));
-        const Tape::Var v_clipped = tape.add_scalar(
-            tape.clip(tape.add_scalar(v, -v_old), -clip, clip),
-            v_old - ret);
-        const Tape::Var v_err_clipped = tape.square(v_clipped);
-        const Tape::Var value_loss =
-            tape.scale(tape.maximum(v_err, v_err_clipped), 0.5F);
-
-        const Tape::Var entropy = nn::diag_gaussian_entropy(tape, log_std);
-
-        Tape::Var loss = tape.add(
-            policy_loss,
-            tape.scale(value_loss, static_cast<float>(config_.value_coef)));
-        loss = tape.sub(
-            loss,
-            tape.scale(entropy, static_cast<float>(config_.entropy_coef)));
-        total_loss = tape.add(total_loss, loss);
-
-        // Diagnostics.
-        const double lp_new = tape.value(log_prob).at(0, 0);
-        const double r = std::exp(lp_new - s.log_prob);
-        batch_kl += s.log_prob - lp_new;
-        if (std::abs(r - 1.0) > config_.clip_epsilon) batch_clipfrac += 1.0;
-        batch_policy_loss += tape.value(policy_loss).at(0, 0);
-        batch_value_loss += tape.value(value_loss).at(0, 0);
-        batch_entropy += tape.value(entropy).at(0, 0);
-      }
-
-      total_loss = tape.scale(total_loss, 1.0F / batch_size);
-      minibatch_loss.add(tape.value(total_loss).at(0, 0));
+      const MinibatchLoss loss =
+          ppo_minibatch_loss(tape, policy_, batch, config_);
+      const double loss_value = tape.value(loss.total).at(0, 0);
       nn::zero_grads(params_);
       {
         obs::ScopedTimer backward_timer("train/update/backward");
-        tape.backward(total_loss);
+        tape.backward(loss.total);
       }
       nn::clip_grad_norm(params_, config_.max_grad_norm);
 
@@ -191,7 +253,6 @@ PpoIterationStats PpoTrainer::update(RolloutBuffer& buffer) {
           params_.front()->grad.data()[0] =
               std::numeric_limits<float>::quiet_NaN();
         }
-        const double loss_value = tape.value(total_loss).at(0, 0);
         if (!std::isfinite(loss_value) || !health_.gradients_finite()) {
           // NaN/Inf before the step: skip it, restore last-good weights
           // and optimiser moments, shrink the lr, keep training.
@@ -216,11 +277,14 @@ PpoIterationStats PpoTrainer::update(RolloutBuffer& buffer) {
         optimizer_.step(params_);
       }
 
-      policy_loss_acc += batch_policy_loss / batch_size;
-      value_loss_acc += batch_value_loss / batch_size;
-      entropy_acc += batch_entropy / batch_size;
-      kl_acc += batch_kl / batch_size;
-      clip_acc += batch_clipfrac / batch_size;
+      // Only minibatches that stepped feed the statistics: a rolled-back
+      // one's NaN would poison every mean below.
+      minibatch_loss.add(loss_value);
+      policy_loss_acc += loss.policy_loss;
+      value_loss_acc += loss.value_loss;
+      entropy_acc += loss.entropy;
+      kl_acc += loss.approx_kl;
+      clip_acc += loss.clip_fraction;
       ++batches;
     }
   }

@@ -59,6 +59,25 @@ struct PpoIterationStats {
   double learning_rate = 0.0;  // lr in effect after the iteration
 };
 
+// One minibatch's PPO2 loss, built on `tape` from a single stacked policy
+// evaluation (Policy::evaluate_batch) as vectorised ops: per-element
+// Gaussian log-densities are segment-summed per sample, then the ratio,
+// clipped surrogate, clipped value loss and entropy are B x 1 ops.
+struct MinibatchLoss {
+  // 1x1: mean over samples of policy_loss + value_coef * value_loss
+  // - entropy_coef * entropy.
+  nn::Tape::Var total;
+  // Means over the minibatch (diagnostics; no gradient).
+  double policy_loss = 0.0;
+  double value_loss = 0.0;
+  double entropy = 0.0;
+  double approx_kl = 0.0;
+  double clip_fraction = 0.0;
+};
+MinibatchLoss ppo_minibatch_loss(nn::Tape& tape, Policy& policy,
+                                 const std::vector<const StepSample*>& batch,
+                                 const PpoConfig& config);
+
 class PpoTrainer {
  public:
   // `policy` and `env` must outlive the trainer.
@@ -69,9 +88,10 @@ class PpoTrainer {
   // every env (ceil(rollout_steps / envs.size()) steps each) via a
   // VecEnvCollector — concurrently when `pool` is non-null, and always
   // merged env-major so the update sees bit-identical data for any worker
-  // count.  The PPO update itself stays serial (it is a sequential
-  // optimisation).  `policy`, the envs and `pool` must outlive the
-  // trainer.
+  // count.  The PPO update is a sequential optimisation; within each
+  // minibatch its stacked matmuls shard rows across `pool`, which the
+  // kernels keep bit-identical for any worker count.  `policy`, the envs
+  // and `pool` must outlive the trainer.
   PpoTrainer(Policy& policy, std::vector<Env*> envs, const PpoConfig& config,
              std::uint64_t seed, util::ThreadPool* pool = nullptr);
 

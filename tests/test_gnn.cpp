@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gnn/graph_net.hpp"
 #include "nn/optimizer.hpp"
+#include "topo/generators.hpp"
 #include "topo/zoo.hpp"
 #include "util/rng.hpp"
 
@@ -21,6 +26,7 @@ GraphSpec line_graph() {
   spec.num_nodes = 3;
   spec.senders = {0, 1};
   spec.receivers = {1, 2};
+  spec.ensure_plans();
   return spec;
 }
 
@@ -149,6 +155,7 @@ TEST(GnBlock, PermutationEquivariance) {
   spec.num_nodes = 4;
   spec.senders = {0, 1, 2, 3};
   spec.receivers = {1, 2, 3, 0};
+  spec.ensure_plans();
 
   util::Rng frng(6);
   Tensor nodes(4, 2);
@@ -166,6 +173,7 @@ TEST(GnBlock, PermutationEquivariance) {
     pspec.receivers.push_back(
         pi[static_cast<size_t>(spec.receivers[static_cast<size_t>(e)])]);
   }
+  pspec.ensure_plans();
   Tensor pnodes(4, 2);
   for (int v = 0; v < 4; ++v) {
     for (int c = 0; c < 2; ++c) {
@@ -373,43 +381,62 @@ TEST(EncodeProcessDecode, SameModelRunsOnDifferentTopologies) {
   }
 }
 
-// Stacks `batch` copies of per-copy inputs into the row layout
-// BatchedGraphSpec expects: copy b's rows at [b*N, (b+1)*N), but with
-// *different* values per copy so the test can tell copies apart.
-GraphVars make_stacked_vars(Tape& tape, const GraphSpec& base, int batch,
-                            int node_dim, int edge_dim, int global_dim,
-                            std::vector<GraphVars>& per_copy,
-                            std::deque<Tape>& copy_tapes, util::Rng& rng) {
-  Tensor nodes(base.num_nodes * batch, node_dim);
-  Tensor edges(base.num_edges() * batch, edge_dim);
-  Tensor globals(batch, global_dim);
-  for (float& v : nodes.data()) v = static_cast<float>(rng.uniform(-1, 1));
-  for (float& v : edges.data()) v = static_cast<float>(rng.uniform(-1, 1));
-  for (float& v : globals.data()) v = static_cast<float>(rng.uniform(-1, 1));
+TEST(GnBlock, UnplannedSpecThrows) {
+  util::Rng rng(20);
+  GnBlock block(GnBlockConfig{}, rng);
+  GraphSpec spec;
+  spec.num_nodes = 3;
+  spec.senders = {0, 1};
+  spec.receivers = {1, 2};
+  Tape tape;
+  const GraphVars in = make_vars(tape, spec, 1, 1, 1, rng);
+  EXPECT_THROW(block.forward(tape, spec, in), std::invalid_argument);
+}
 
-  copy_tapes.resize(static_cast<size_t>(batch));
-  per_copy.clear();
-  for (int b = 0; b < batch; ++b) {
-    Tensor n(base.num_nodes, node_dim);
-    Tensor e(base.num_edges(), edge_dim);
-    Tensor g(1, global_dim);
-    for (int r = 0; r < base.num_nodes; ++r) {
-      for (int c = 0; c < node_dim; ++c) {
-        n.at(r, c) = nodes.at(b * base.num_nodes + r, c);
-      }
-    }
-    for (int r = 0; r < base.num_edges(); ++r) {
-      for (int c = 0; c < edge_dim; ++c) {
-        e.at(r, c) = edges.at(b * base.num_edges() + r, c);
-      }
-    }
-    for (int c = 0; c < global_dim; ++c) g.at(0, c) = globals.at(b, c);
-    Tape& t = copy_tapes[static_cast<size_t>(b)];
-    per_copy.push_back(
-        GraphVars{t.constant(n), t.constant(e), t.constant(g)});
+// Row-stacks per-graph inputs into the layout a disjoint union expects
+// (graph g's rows follow graph g-1's), with different values per graph so
+// the test can tell the graphs apart.  per_graph[g] holds the same values
+// on copy_tapes[g].
+GraphVars make_union_vars(Tape& tape, const std::vector<GraphSpec>& parts,
+                          int node_dim, int edge_dim, int global_dim,
+                          std::vector<GraphVars>& per_graph,
+                          std::deque<Tape>& copy_tapes, util::Rng& rng) {
+  int nodes = 0;
+  int edges = 0;
+  for (const GraphSpec& p : parts) {
+    nodes += p.num_nodes;
+    edges += p.num_edges();
   }
-  return GraphVars{tape.constant(nodes), tape.constant(edges),
-                   tape.constant(globals)};
+  Tensor un(nodes, node_dim);
+  Tensor ue(edges, edge_dim);
+  Tensor ug(static_cast<int>(parts.size()), global_dim);
+  copy_tapes.resize(parts.size());
+  per_graph.clear();
+  int node_row = 0;
+  int edge_row = 0;
+  for (std::size_t g = 0; g < parts.size(); ++g) {
+    Tensor n(parts[g].num_nodes, node_dim);
+    Tensor e(parts[g].num_edges(), edge_dim);
+    Tensor u(1, global_dim);
+    for (Tensor* t : {&n, &e, &u}) {
+      for (float& v : t->data()) v = static_cast<float>(rng.uniform(-1, 1));
+    }
+    for (int r = 0; r < n.rows(); ++r) {
+      for (int c = 0; c < node_dim; ++c) un.at(node_row + r, c) = n.at(r, c);
+    }
+    for (int r = 0; r < e.rows(); ++r) {
+      for (int c = 0; c < edge_dim; ++c) ue.at(edge_row + r, c) = e.at(r, c);
+    }
+    for (int c = 0; c < global_dim; ++c) {
+      ug.at(static_cast<int>(g), c) = u.at(0, c);
+    }
+    node_row += n.rows();
+    edge_row += e.rows();
+    Tape& t = copy_tapes[g];
+    per_graph.push_back(
+        GraphVars{t.constant(n), t.constant(e), t.constant(u)});
+  }
+  return GraphVars{tape.constant(un), tape.constant(ue), tape.constant(ug)};
 }
 
 void expect_rows_bit_identical(const Tensor& stacked, const Tensor& solo,
@@ -425,36 +452,55 @@ void expect_rows_bit_identical(const Tensor& stacked, const Tensor& solo,
   }
 }
 
-TEST(BatchedGraphSpec, StacksDisjointCopies) {
-  const GraphSpec base = GraphSpec::from(topo::abilene());
-  const BatchedGraphSpec bspec = BatchedGraphSpec::from(base, 3);
-  EXPECT_EQ(bspec.batch, 3);
-  EXPECT_EQ(bspec.base_nodes, base.num_nodes);
-  EXPECT_EQ(bspec.base_edges, base.num_edges());
-  EXPECT_EQ(bspec.spec.num_nodes, base.num_nodes * 3);
-  EXPECT_EQ(bspec.spec.num_edges(), base.num_edges() * 3);
-  for (int b = 0; b < 3; ++b) {
-    for (int e = 0; e < base.num_edges(); ++e) {
-      const auto idx = static_cast<size_t>(b * base.num_edges() + e);
-      EXPECT_EQ(bspec.spec.senders[idx],
-                base.senders[static_cast<size_t>(e)] + b * base.num_nodes);
-      EXPECT_EQ(bspec.spec.receivers[idx],
-                base.receivers[static_cast<size_t>(e)] + b * base.num_nodes);
-      EXPECT_EQ((*bspec.edge_graph_ids)[idx], b);
-    }
-    for (int n = 0; n < base.num_nodes; ++n) {
-      EXPECT_EQ((*bspec.node_graph_ids)[static_cast<size_t>(
-                    b * base.num_nodes + n)],
-                b);
-    }
-  }
-  EXPECT_THROW(BatchedGraphSpec::from(base, 0), std::invalid_argument);
+// Different topologies, one repeated, so the union mixes sizes.
+std::vector<GraphSpec> mixed_parts() {
+  return {GraphSpec::from(topo::abilene()), GraphSpec::from(topo::nsfnet()),
+          GraphSpec::from(topo::by_name("SmallRing")),
+          GraphSpec::from(topo::abilene())};
 }
 
-// The serving engine's batched inference is only admissible because the
-// stacked forward is *bit-identical* per copy — a decision served from a
-// batch must not depend on who it shared the batch with.
-TEST(GnBlock, BatchedForwardBitIdenticalToPerCopyForwards) {
+std::vector<const GraphSpec*> pointers(const std::vector<GraphSpec>& parts) {
+  std::vector<const GraphSpec*> out;
+  for (const GraphSpec& p : parts) out.push_back(&p);
+  return out;
+}
+
+TEST(GraphSpec, DisjointUnionOffsetsPartsAndTagsGraphs) {
+  const std::vector<GraphSpec> parts = mixed_parts();
+  const GraphSpec u = GraphSpec::disjoint_union(pointers(parts));
+  ASSERT_TRUE(u.planned());
+  EXPECT_EQ(u.num_graphs, 4);
+  int node_offset = 0;
+  int edge_offset = 0;
+  for (int g = 0; g < 4; ++g) {
+    const GraphSpec& p = parts[static_cast<std::size_t>(g)];
+    for (int e = 0; e < p.num_edges(); ++e) {
+      const auto idx = static_cast<std::size_t>(edge_offset + e);
+      EXPECT_EQ(u.senders[idx],
+                p.senders[static_cast<std::size_t>(e)] + node_offset);
+      EXPECT_EQ(u.receivers[idx],
+                p.receivers[static_cast<std::size_t>(e)] + node_offset);
+      EXPECT_EQ((*u.edge_graph)[idx], g);
+    }
+    for (int n = 0; n < p.num_nodes; ++n) {
+      EXPECT_EQ((*u.node_graph)[static_cast<std::size_t>(node_offset + n)],
+                g);
+    }
+    node_offset += p.num_nodes;
+    edge_offset += p.num_edges();
+  }
+  EXPECT_EQ(u.num_nodes, node_offset);
+  EXPECT_EQ(u.num_edges(), edge_offset);
+  EXPECT_THROW(GraphSpec::disjoint_union({}), std::invalid_argument);
+  const GraphSpec* nested[] = {&u};
+  EXPECT_THROW(GraphSpec::disjoint_union(nested), std::invalid_argument);
+}
+
+// The PPO update evaluates a whole minibatch, and the serving engine a
+// micro-batch, as one union; both are only admissible because the union
+// forward is *bit-identical* per graph — a result must not depend on
+// which graphs it shared the pass with.
+TEST(GnBlock, UnionForwardBitIdenticalToPerGraphForwards) {
   util::Rng rng(21);
   GnBlockConfig cfg;
   cfg.node_in = 3;
@@ -465,61 +511,181 @@ TEST(GnBlock, BatchedForwardBitIdenticalToPerCopyForwards) {
   cfg.global_out = 4;
   GnBlock block(cfg, rng);
 
-  const GraphSpec base = GraphSpec::from(topo::abilene());
-  const int batch = 4;
-  const BatchedGraphSpec bspec = BatchedGraphSpec::from(base, batch);
-
-  Tape stacked_tape;
-  std::vector<GraphVars> per_copy;
+  const std::vector<GraphSpec> parts = mixed_parts();
+  const GraphSpec u = GraphSpec::disjoint_union(pointers(parts));
+  Tape union_tape;
+  std::vector<GraphVars> per_graph;
   std::deque<Tape> copy_tapes;
   util::Rng frng(22);
-  const GraphVars in =
-      make_stacked_vars(stacked_tape, base, batch, 3, 2, 2, per_copy,
-                        copy_tapes, frng);
-  const GraphVars out = block.forward_batched(stacked_tape, bspec, in);
-  const Tensor& nodes = stacked_tape.value(out.nodes);
-  const Tensor& edges = stacked_tape.value(out.edges);
-  const Tensor& globals = stacked_tape.value(out.globals);
-  ASSERT_EQ(globals.rows(), batch);
+  const GraphVars in = make_union_vars(union_tape, parts, 3, 2, 2, per_graph,
+                                       copy_tapes, frng);
+  const GraphVars out = block.forward(union_tape, u, in);
+  const Tensor& nodes = union_tape.value(out.nodes);
+  const Tensor& edges = union_tape.value(out.edges);
+  const Tensor& globals = union_tape.value(out.globals);
+  ASSERT_EQ(globals.rows(), 4);
 
-  for (int b = 0; b < batch; ++b) {
-    Tape& t = copy_tapes[static_cast<size_t>(b)];
-    const GraphVars solo =
-        block.forward(t, base, per_copy[static_cast<size_t>(b)]);
-    expect_rows_bit_identical(nodes, t.value(solo.nodes),
-                              b * base.num_nodes, "nodes");
-    expect_rows_bit_identical(edges, t.value(solo.edges),
-                              b * base.num_edges(), "edges");
-    expect_rows_bit_identical(globals, t.value(solo.globals), b, "globals");
+  int node_offset = 0;
+  int edge_offset = 0;
+  for (std::size_t g = 0; g < parts.size(); ++g) {
+    Tape& t = copy_tapes[g];
+    const GraphVars solo = block.forward(t, parts[g], per_graph[g]);
+    expect_rows_bit_identical(nodes, t.value(solo.nodes), node_offset,
+                              "nodes");
+    expect_rows_bit_identical(edges, t.value(solo.edges), edge_offset,
+                              "edges");
+    expect_rows_bit_identical(globals, t.value(solo.globals),
+                              static_cast<int>(g), "globals");
+    node_offset += parts[g].num_nodes;
+    edge_offset += parts[g].num_edges();
   }
 }
 
-TEST(EncodeProcessDecode, BatchedForwardBitIdenticalToPerCopyForwards) {
+TEST(EncodeProcessDecode, UnionForwardBitIdenticalToPerGraphForwards) {
   util::Rng rng(23);
   EncodeProcessDecodeConfig cfg;
   cfg.node_in = 2;
   cfg.steps = 3;
+  cfg.global_out = 2;
   EncodeProcessDecode net(cfg, rng);
 
-  const GraphSpec base = GraphSpec::from(topo::nsfnet());
-  const int batch = 3;
-  const BatchedGraphSpec bspec = BatchedGraphSpec::from(base, batch);
-
-  Tape stacked_tape;
-  std::vector<GraphVars> per_copy;
+  const std::vector<GraphSpec> parts = mixed_parts();
+  const GraphSpec u = GraphSpec::disjoint_union(pointers(parts));
+  Tape union_tape;
+  std::vector<GraphVars> per_graph;
   std::deque<Tape> copy_tapes;
   util::Rng frng(24);
-  const GraphVars in = make_stacked_vars(stacked_tape, base, batch, 2, 1, 1,
-                                         per_copy, copy_tapes, frng);
-  const GraphVars out = net.forward_batched(stacked_tape, bspec, in);
-  const Tensor& edges = stacked_tape.value(out.edges);
+  const GraphVars in = make_union_vars(union_tape, parts, 2, 1, 1, per_graph,
+                                       copy_tapes, frng);
+  const GraphVars out = net.forward(union_tape, u, in);
+  const Tensor& edges = union_tape.value(out.edges);
+  const Tensor& globals = union_tape.value(out.globals);
 
-  for (int b = 0; b < batch; ++b) {
-    Tape& t = copy_tapes[static_cast<size_t>(b)];
-    const GraphVars solo =
-        net.forward(t, base, per_copy[static_cast<size_t>(b)]);
-    expect_rows_bit_identical(edges, t.value(solo.edges),
-                              b * base.num_edges(), "decoded edges");
+  int edge_offset = 0;
+  for (std::size_t g = 0; g < parts.size(); ++g) {
+    Tape& t = copy_tapes[g];
+    const GraphVars solo = net.forward(t, parts[g], per_graph[g]);
+    expect_rows_bit_identical(edges, t.value(solo.edges), edge_offset,
+                              "decoded edges");
+    expect_rows_bit_identical(globals, t.value(solo.globals),
+                              static_cast<int>(g), "decoded globals");
+    edge_offset += parts[g].num_edges();
+  }
+}
+
+// Test-only reference for GnBlock::forward: phi_e and phi_v evaluated on
+// their explicit input concatenations [e_k, v_sender, v_receiver, u] and
+// [agg, v_i, u] (the form the projected updates replace), reading the
+// block's own parameters in parameters() order — edge MLP, node MLP,
+// global MLP, each (W, b) per layer.  Single graph only.
+GraphVars concat_reference_forward(Tape& tape, GnBlock& block,
+                                   const GraphSpec& spec, const GraphVars& in) {
+  const std::vector<nn::Parameter*> params = block.parameters();
+  const std::size_t layers = block.config().mlp_hidden.size() + 1;
+  const auto mlp = [&](std::size_t first, Var x) {
+    for (std::size_t l = 0; l < layers; ++l) {
+      x = tape.linear(x, tape.leaf(*params[first + 2 * l]),
+                      tape.leaf(*params[first + 2 * l + 1]),
+                      l + 1 == layers ? nn::Activation::kIdentity
+                                      : block.config().activation);
+    }
+    return x;
+  };
+  Var edge_in = tape.concat_cols(in.edges, tape.gather_rows(in.nodes,
+                                                            spec.senders));
+  edge_in = tape.concat_cols(edge_in, tape.gather_rows(in.nodes,
+                                                       spec.receivers));
+  edge_in = tape.concat_cols(edge_in,
+                             tape.broadcast_rows(in.globals, spec.num_edges()));
+  const Var edges = mlp(0, edge_in);
+  Var node_in = tape.concat_cols(
+      tape.segment_sum(edges, spec.receivers, spec.num_nodes), in.nodes);
+  node_in = tape.concat_cols(node_in,
+                             tape.broadcast_rows(in.globals, spec.num_nodes));
+  const Var nodes = mlp(2 * layers, node_in);
+  Var global_in = tape.concat_cols(tape.sum_rows(edges), tape.sum_rows(nodes));
+  global_in = tape.concat_cols(global_in, in.globals);
+  return GraphVars{nodes, edges, mlp(4 * layers, global_in)};
+}
+
+double max_abs(const Tensor& t) {
+  double m = 0.0;
+  for (float v : t.data()) m = std::max(m, static_cast<double>(std::abs(v)));
+  return m;
+}
+
+// Differential check of the projected edge update: values and parameter
+// gradients of GnBlock::forward against the concat reference on a seeded
+// random-topology family at 5-100 nodes.
+TEST(GnBlock, ProjectedEdgeUpdateMatchesConcatReference) {
+  util::Rng topo_rng(31);
+  std::vector<std::pair<std::string, graph::DiGraph>> cases;
+  cases.emplace_back("er5", topo::erdos_renyi(5, 0.4, topo_rng));
+  cases.emplace_back("er30", topo::erdos_renyi(30, 0.12, topo_rng));
+  cases.emplace_back("ws24", topo::watts_strogatz(24, 4, 0.3, topo_rng));
+  cases.emplace_back("ws60", topo::watts_strogatz(60, 4, 0.2, topo_rng));
+  cases.emplace_back("ba6", topo::barabasi_albert(6, 2, topo_rng));
+  cases.emplace_back("ba100", topo::barabasi_albert(100, 2, topo_rng));
+
+  util::Rng rng(32);
+  GnBlockConfig cfg;
+  cfg.node_in = 6;
+  cfg.edge_in = 3;
+  cfg.global_in = 4;
+  cfg.node_out = 5;
+  cfg.edge_out = 7;
+  cfg.global_out = 2;
+  GnBlock block(cfg, rng);
+  const std::vector<nn::Parameter*> params = block.parameters();
+
+  for (const auto& [name, g] : cases) {
+    const GraphSpec spec = GraphSpec::from(g);
+    std::vector<Tensor> values;
+    std::vector<std::vector<Tensor>> grads;
+    for (int variant = 0; variant < 2; ++variant) {
+      Tape tape;
+      util::Rng vrng(34);
+      const GraphVars in = make_vars(tape, spec, cfg.node_in, cfg.edge_in,
+                                     cfg.global_in, vrng);
+      const GraphVars out = variant == 0
+                                ? block.forward(tape, spec, in)
+                                : concat_reference_forward(tape, block, spec,
+                                                           in);
+      const Var loss = tape.add(
+          tape.sum_all(tape.square(out.edges)),
+          tape.add(tape.sum_all(tape.square(out.nodes)),
+                   tape.sum_all(tape.square(out.globals))));
+      nn::zero_grads(params);
+      tape.backward(loss);
+      values.push_back(tape.value(out.edges));
+      values.push_back(tape.value(out.nodes));
+      values.push_back(tape.value(out.globals));
+      grads.emplace_back();
+      for (const nn::Parameter* p : params) grads.back().push_back(p->grad);
+    }
+    for (std::size_t k = 0; k < 3; ++k) {
+      const Tensor& got = values[k];
+      const Tensor& want = values[k + 3];
+      ASSERT_TRUE(got.same_shape(want)) << name;
+      const double tol = 1e-5 * std::max(1.0, max_abs(want));
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_NEAR(got.data()[i], want.data()[i], tol)
+            << name << " output " << k << " element " << i;
+      }
+    }
+    double grad_scale = 0.0;
+    for (const Tensor& want : grads[1]) {
+      grad_scale = std::max(grad_scale, max_abs(want));
+    }
+    const double tol = 1e-5 * grad_scale;
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      const Tensor& got = grads[0][p];
+      const Tensor& want = grads[1][p];
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_NEAR(got.data()[i], want.data()[i], tol)
+            << name << " param " << p << " element " << i;
+      }
+    }
   }
 }
 

@@ -492,5 +492,26 @@ TEST(TensorArena, TapeReachesSteadyStateWithZeroAllocations) {
   }
 }
 
+TEST(TensorArena, TapeConstantsKeepThePoolFlat) {
+  // reset() pools every node buffer, so a constant must come from the
+  // arena: a caller-built tensor is copied, never adopted (an adopted
+  // buffer would add one pooled buffer per iteration, forever).
+  Tape tape;
+  std::size_t pooled_after_warmup = 0;
+  for (int iter = 0; iter < 5; ++iter) {
+    tape.reset();
+    const Var a = tape.constant(Tensor(16, 16, 1.0F));
+    const Var b = tape.constant(16, 16, [](Tensor& t) { t.at(3, 4) = 2.0F; });
+    EXPECT_EQ(tape.value(b).at(3, 4), 2.0F);
+    EXPECT_EQ(tape.value(b).at(0, 0), 0.0F);
+    (void)tape.add(a, b);
+    if (iter == 1) pooled_after_warmup = tape.arena_pooled();
+    if (iter > 1) {
+      EXPECT_EQ(tape.arena_pooled(), pooled_after_warmup)
+          << "iteration " << iter << " grew the pool";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gddr::nn

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -302,6 +303,40 @@ TEST(GradCheck, GatherAndSegmentSum) {
     const Var pooled = t.segment_sum(gathered, {0, 1, 1, 0}, 2);
     return t.sum_all(t.square(pooled));
   });
+}
+
+TEST(GradCheck, SliceRowsAndAddGathered) {
+  util::Rng rng(12);
+  Parameter p(random_tensor(5, 3, rng));
+  const Tensor base = random_tensor(4, 3, rng);
+  const auto indices = std::make_shared<const std::vector<int>>(
+      std::vector<int>{1, 0, 2, 1});
+  grad_check(p, [&](Tape& t, Var x) {
+    // Rows 1..3 of x, gathered by `indices` onto a 4-row base; the base
+    // also gets x's first row so both backward paths carry gradient.
+    const Var block = t.slice_rows(x, 1, 3);
+    const Var first = t.broadcast_rows(t.slice_rows(x, 0, 1), 4);
+    const Var sum = t.add_gathered(t.add(t.constant(base), first), block,
+                                   indices);
+    return t.sum_all(t.square(sum));
+  });
+}
+
+TEST(Tape, SliceRowsAndAddGatheredRejectBadShapes) {
+  Tape tape;
+  const Var m = tape.constant(Tensor(3, 2));
+  EXPECT_THROW(tape.slice_rows(m, 2, 2), std::invalid_argument);
+  EXPECT_THROW(tape.slice_rows(m, -1, 1), std::invalid_argument);
+  const auto two = std::make_shared<const std::vector<int>>(
+      std::vector<int>{0, 1});
+  EXPECT_THROW(tape.add_gathered(tape.constant(Tensor(3, 2)), m, two),
+               std::invalid_argument);  // 2 indices for 3 base rows
+  EXPECT_THROW(tape.add_gathered(tape.constant(Tensor(2, 3)), m, two),
+               std::invalid_argument);  // width mismatch
+  const auto out_of_range = std::make_shared<const std::vector<int>>(
+      std::vector<int>{0, 3});
+  EXPECT_THROW(tape.add_gathered(tape.constant(Tensor(2, 2)), m, out_of_range),
+               std::invalid_argument);
 }
 
 TEST(GradCheck, UnaryChain) {

@@ -1,20 +1,27 @@
 // Tests for the parallel execution layer: the thread pool, vectorised
-// collection determinism, GAE truncation bootstrapping, the bounded
-// thread-safe LP cache, and parallel evaluation.
+// collection determinism, GAE truncation bootstrapping, the pooled PPO
+// update, the bounded thread-safe LP cache, and parallel evaluation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/evaluate.hpp"
+#include "core/experiment.hpp"
 #include "core/policies.hpp"
 #include "core/routing_env.hpp"
 #include "core/scenario.hpp"
 #include "mcf/cache.hpp"
+#include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
 #include "rl/vec_env.hpp"
 #include "routing/baselines.hpp"
@@ -322,6 +329,80 @@ TEST(VecEnvCollector, SegmentTailIsTruncatedWithBootstrap) {
     EXPECT_FALSE(boundary.truncated);
     EXPECT_FALSE(tail.done);
     EXPECT_TRUE(tail.truncated);
+  }
+}
+
+// ---------------- PPO update across worker counts ----------------
+
+// FNV-1a over the raw bytes of every parameter value.
+std::uint64_t hash_parameters(const std::vector<nn::Parameter*>& params) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const nn::Parameter* p : params) {
+    const auto data = p->value.data();
+    const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+    for (std::size_t i = 0; i < data.size() * sizeof(float); ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+struct TrainedState {
+  std::uint64_t params_hash = 0;
+  std::string checkpoint;  // parameters, Adam moments and step count, RNGs
+};
+
+// Two PPO iterations of a GNN policy on Abilene.  The update's stacked
+// minibatch matmuls (e.g. 1792 x 32 x 32 edge rows) are far above the
+// sharding threshold, so a pool splits them across workers.
+TrainedState train_two_iterations(util::ThreadPool* pool,
+                                  const std::string& tag) {
+  util::Rng srng(61);
+  core::ScenarioParams sp;
+  sp.sequence_length = 12;
+  sp.cycle_length = 4;
+  sp.train_sequences = 2;
+  sp.test_sequences = 1;
+  const core::Scenario scenario =
+      core::make_scenario(topo::abilene(), sp, srng);
+  core::EnvConfig env_config;
+  env_config.memory = 3;
+  auto envs = core::make_vec_envs({scenario}, env_config, 62, 2);
+  std::vector<rl::Env*> env_ptrs;
+  for (const auto& env : envs) env_ptrs.push_back(env.get());
+  util::Rng prng(63);
+  core::GnnPolicy policy(core::experiment_gnn_config(3), prng);
+  rl::PpoConfig ppo = core::routing_ppo_config();
+  ppo.rollout_steps = 128;
+  ppo.epochs = 2;
+  rl::PpoTrainer trainer(policy, env_ptrs, ppo, 64, pool);
+  for (int i = 0; i < 2; ++i) trainer.train_iteration();
+
+  TrainedState state;
+  state.params_hash = hash_parameters(policy.parameters());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / ("gddr_ppo_pool_" + tag))
+          .string();
+  trainer.save_checkpoint(path);
+  std::ifstream in(path, std::ios::binary);
+  state.checkpoint.assign(std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  return state;
+}
+
+TEST(PpoUpdateParallel, ParametersAndAdamStateBitIdenticalAcrossWorkerCounts) {
+  const TrainedState serial = train_two_iterations(nullptr, "serial");
+  ASSERT_FALSE(serial.checkpoint.empty());
+  for (const int workers : {2, 4}) {
+    util::ThreadPool pool(workers);
+    const TrainedState pooled =
+        train_two_iterations(&pool, "w" + std::to_string(workers));
+    EXPECT_EQ(pooled.params_hash, serial.params_hash)
+        << workers << " workers";
+    EXPECT_TRUE(pooled.checkpoint == serial.checkpoint)
+        << workers << " workers: checkpoint bytes differ";
   }
 }
 
