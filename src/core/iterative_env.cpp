@@ -190,9 +190,7 @@ rl::Env::StepResult IterativeRoutingEnv::step(std::span<const double> action) {
       pending_weights_, config_.min_weight, config_.max_weight);
   routing::SoftminOptions softmin = config_.softmin;
   softmin.gamma = map_gamma(action[1]);
-  const routing::Routing strategy = routing::softmin_routing(g, weights,
-                                                             softmin);
-  const auto sim = routing::simulate(g, strategy, dm);
+  const auto sim = routing::softmin_simulate(g, weights, softmin, dm).sim;
   const double u_opt = cache_->u_max(g, dm);
   last_ratio_ = u_opt > 0.0 ? sim.u_max / u_opt : 1.0;
   result.reward = -last_ratio_;

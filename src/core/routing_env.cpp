@@ -188,11 +188,11 @@ rl::Env::StepResult RoutingEnv::step(std::span<const double> action) {
   }
   const auto& dm = seq[static_cast<size_t>(t_)];
 
-  routing::Routing strategy;
+  routing::SimulationResult sim;
   if (config_.action_space == ActionSpace::kEdgeWeights) {
     const std::vector<double> weights = routing::weights_from_actions(
         action, config_.min_weight, config_.max_weight);
-    strategy = routing::softmin_routing(g, weights, config_.softmin);
+    sim = routing::softmin_simulate(g, weights, config_.softmin, dm).sim;
   } else {
     // Destination-major |V| x |E| action layout (paper §V-C intermediate).
     std::vector<std::vector<double>> weights_by_dest(
@@ -205,10 +205,10 @@ rl::Env::StepResult RoutingEnv::step(std::span<const double> action) {
                              static_cast<size_t>(g.num_edges())),
               config_.min_weight, config_.max_weight);
     }
-    strategy = routing::softmin_routing_per_destination(g, weights_by_dest,
-                                                        config_.softmin);
+    sim = routing::softmin_simulate_per_destination(g, weights_by_dest,
+                                                    config_.softmin, dm)
+              .sim;
   }
-  const auto sim = routing::simulate(g, strategy, dm);
 
   double achieved = 0.0;
   double optimal = 0.0;

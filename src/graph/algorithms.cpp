@@ -8,11 +8,6 @@
 #include <stdexcept>
 
 namespace gddr::graph {
-namespace {
-
-// (distance, node) min-heap entry.
-using HeapEntry = std::pair<double, NodeId>;
-
 void check_weights(const DiGraph& g, const std::vector<double>& weights) {
   if (weights.size() != static_cast<size_t>(g.num_edges())) {
     throw std::invalid_argument("weight vector size != num_edges");
@@ -24,40 +19,94 @@ void check_weights(const DiGraph& g, const std::vector<double>& weights) {
   }
 }
 
-ShortestPaths dijkstra_impl(const DiGraph& g, NodeId origin,
+namespace {
+
+constexpr size_t kUnreached = std::numeric_limits<size_t>::max();
+constexpr size_t kSettled = kUnreached - 1;
+constexpr size_t kArity = 4;
+
+}  // namespace
+
+void DijkstraWorkspace::sift_up(size_t i, Entry x) {
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    if (!(x < heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    slot_[static_cast<size_t>(heap_[i].node)] = i;
+    i = parent;
+  }
+  heap_[i] = x;
+  slot_[static_cast<size_t>(x.node)] = i;
+}
+
+void DijkstraWorkspace::sift_down(size_t i, Entry x) {
+  const size_t size = heap_.size();
+  while (true) {
+    const size_t first = kArity * i + 1;
+    if (first >= size) break;
+    size_t best = first;
+    const size_t last = std::min(first + kArity, size);
+    for (size_t c = first + 1; c < last; ++c) {
+      if (heap_[c] < heap_[best]) best = c;
+    }
+    if (!(heap_[best] < x)) break;
+    heap_[i] = heap_[best];
+    slot_[static_cast<size_t>(heap_[i].node)] = i;
+    i = best;
+  }
+  heap_[i] = x;
+  slot_[static_cast<size_t>(x.node)] = i;
+}
+
+void DijkstraWorkspace::run(const DiGraph& g, NodeId origin,
                             const std::vector<double>& weights,
                             bool reverse) {
-  check_weights(g, weights);
   if (!g.valid_node(origin)) {
     throw std::out_of_range("dijkstra: invalid origin");
   }
   const auto n = static_cast<size_t>(g.num_nodes());
-  ShortestPaths sp;
-  sp.dist.assign(n, kInfDist);
-  sp.parent_edge.assign(n, kInvalidEdge);
-  std::vector<bool> done(n, false);
-
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> pq;
-  sp.dist[static_cast<size_t>(origin)] = 0.0;
-  pq.emplace(0.0, origin);
-  while (!pq.empty()) {
-    const auto [d, v] = pq.top();
-    pq.pop();
-    if (done[static_cast<size_t>(v)]) continue;
-    done[static_cast<size_t>(v)] = true;
-    const auto edges = reverse ? g.in_edges(v) : g.out_edges(v);
-    for (EdgeId e : edges) {
+  dist_.assign(n, kInfDist);
+  parent_.assign(n, kInvalidEdge);
+  slot_.assign(n, kUnreached);
+  order_.clear();
+  heap_.clear();
+  dist_[static_cast<size_t>(origin)] = 0.0;
+  heap_.push_back({0.0, origin});
+  slot_[static_cast<size_t>(origin)] = 0;
+  while (!heap_.empty()) {
+    const NodeId v = heap_.front().node;
+    slot_[static_cast<size_t>(v)] = kSettled;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+    order_.push_back(v);
+    const double d = dist_[static_cast<size_t>(v)];
+    for (EdgeId e : reverse ? g.in_edges(v) : g.out_edges(v)) {
       const Edge& ed = g.edge(e);
-      const NodeId u = reverse ? ed.src : ed.dst;
+      const auto u = static_cast<size_t>(reverse ? ed.src : ed.dst);
       const double nd = d + weights[static_cast<size_t>(e)];
-      if (nd < sp.dist[static_cast<size_t>(u)]) {
-        sp.dist[static_cast<size_t>(u)] = nd;
-        sp.parent_edge[static_cast<size_t>(u)] = e;
-        pq.emplace(nd, u);
+      // A settled vertex never improves: its distance is at most d.
+      if (!(nd < dist_[u])) continue;
+      dist_[u] = nd;
+      parent_[u] = e;
+      if (slot_[u] == kUnreached) {
+        slot_[u] = heap_.size();
+        heap_.push_back({});
       }
+      sift_up(slot_[u], {nd, static_cast<NodeId>(u)});
     }
   }
-  return sp;
+}
+
+namespace {
+
+ShortestPaths dijkstra_impl(const DiGraph& g, NodeId origin,
+                            const std::vector<double>& weights,
+                            bool reverse) {
+  check_weights(g, weights);
+  DijkstraWorkspace ws;
+  ws.run(g, origin, weights, reverse);
+  return {ws.dist(), ws.parent_edge()};
 }
 
 }  // namespace
@@ -103,20 +152,18 @@ std::optional<std::vector<NodeId>> topological_order(
       ++in_degree[static_cast<size_t>(g.edge(e).dst)];
     }
   }
+  // `order` doubles as Kahn's FIFO: entries before `head` are emitted,
+  // the rest are ready.
   std::vector<NodeId> order;
   order.reserve(n);
-  std::queue<NodeId> ready;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (in_degree[static_cast<size_t>(v)] == 0) ready.push(v);
+    if (in_degree[static_cast<size_t>(v)] == 0) order.push_back(v);
   }
-  while (!ready.empty()) {
-    const NodeId v = ready.front();
-    ready.pop();
-    order.push_back(v);
-    for (EdgeId e : g.out_edges(v)) {
+  for (size_t head = 0; head < order.size(); ++head) {
+    for (EdgeId e : g.out_edges(order[head])) {
       if (!edge_mask[static_cast<size_t>(e)]) continue;
       const NodeId u = g.edge(e).dst;
-      if (--in_degree[static_cast<size_t>(u)] == 0) ready.push(u);
+      if (--in_degree[static_cast<size_t>(u)] == 0) order.push_back(u);
     }
   }
   if (order.size() != n) return std::nullopt;

@@ -5,6 +5,7 @@
 // routable).
 #pragma once
 
+#include <cstddef>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -23,6 +24,51 @@ struct ShortestPaths {
   // parent_edge[v]: one edge on a shortest path toward v (kInvalidEdge for
   // the source / unreachable nodes).
   std::vector<EdgeId> parent_edge;
+};
+
+// Throws std::invalid_argument unless `weights` holds one non-negative
+// (and non-NaN) weight per edge of `g`.
+void check_weights(const DiGraph& g, const std::vector<double>& weights);
+
+// Dijkstra state reused across runs: distances, parent edges, the settle
+// order, and an indexed 4-ary min-heap with decrease-key.  The heap orders
+// vertices by (distance, node id), the order in which a lazy-deletion heap
+// of (distance, node) pairs settles them, so parent edges and settle order
+// do not depend on the heap.  Distances do not depend on it either: each
+// is the minimum over the vertex's neighbours of neighbour distance plus
+// edge weight.
+class DijkstraWorkspace {
+ public:
+  // Shortest paths from `origin`, or to it over in-edges when `reverse`.
+  // `weights` must have passed check_weights; run() does not re-check.
+  void run(const DiGraph& g, NodeId origin, const std::vector<double>& weights,
+           bool reverse);
+
+  const std::vector<double>& dist() const { return dist_; }
+  const std::vector<EdgeId>& parent_edge() const { return parent_; }
+  // Every reached vertex, in the order it was settled: non-decreasing
+  // distance, ties broken by node id.  Read backwards, it is a topological
+  // order of any edge set whose edges strictly decrease the distance.
+  const std::vector<NodeId>& settle_order() const { return order_; }
+
+ private:
+  // A heap entry caches its vertex's distance, so sifting reads only the
+  // heap array.
+  struct Entry {
+    double dist;
+    NodeId node;
+    bool operator<(const Entry& o) const {
+      return dist < o.dist || (dist == o.dist && node < o.node);
+    }
+  };
+  void sift_up(std::size_t i, Entry x);
+  void sift_down(std::size_t i, Entry x);
+
+  std::vector<double> dist_;
+  std::vector<EdgeId> parent_;
+  std::vector<NodeId> order_;
+  std::vector<Entry> heap_;
+  std::vector<std::size_t> slot_;  // heap index per vertex, or a sentinel
 };
 
 // Dijkstra from `src` using per-edge weights (size num_edges, all >= 0).

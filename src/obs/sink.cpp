@@ -4,9 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 
-#include "util/fs.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
 
 namespace gddr::obs {
@@ -122,9 +123,13 @@ std::string make_record(int iter, const Snapshot& snapshot) {
 }
 
 void JsonlSink::append(const std::string& line) {
-  contents_ += line;
-  contents_ += '\n';
-  util::write_file_atomic(path_, contents_);
+  const auto mode = lines_written_ == 0 ? std::ios::out | std::ios::trunc
+                                        : std::ios::out | std::ios::app;
+  std::ofstream out(path_, mode);
+  if (!out) throw util::IoError("JsonlSink: cannot open " + path_);
+  out << line << '\n';
+  out.flush();
+  if (!out) throw util::IoError("JsonlSink: write to " + path_ + " failed");
   lines_written_++;
 }
 

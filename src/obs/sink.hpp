@@ -1,4 +1,4 @@
-// Structured outputs for the metrics registry: a crash-safe JSONL sink,
+// Structured outputs for the metrics registry: an append-only JSONL sink,
 // the per-iteration JSON record format, and the end-of-run summary table.
 //
 // JSONL record schema ("gddr.metrics.v1", one object per line — full
@@ -27,26 +27,25 @@ namespace gddr::obs {
 // after training iteration `iter` (0-based).
 std::string make_record(int iter, const Snapshot& snapshot);
 
-// Crash-safe append-per-iteration writer: keeps the accumulated lines in
-// memory and rewrites the whole file through util::write_file_atomic on
-// every append, so a reader (or a crash) always sees complete lines.
-// Records stay small (one per PPO iteration), so the rewrite cost is
-// noise next to the iteration itself.
+// Append-per-iteration writer.  The first append truncates whatever file
+// `path` held; every append then opens the file in append mode, writes one
+// line and flushes it, so a record costs the same however long the run.
+// A crash in the middle of a write can leave the last line torn: a reader
+// should drop an unterminated final line.
 class JsonlSink {
  public:
   explicit JsonlSink(std::string path) : path_(std::move(path)) {}
 
   const std::string& path() const { return path_; }
 
-  // Appends `line` (newline added) and rewrites the file atomically.
-  // Throws util::IoError on failure.
+  // Appends `line` plus a newline and flushes it.  Throws util::IoError on
+  // failure.
   void append(const std::string& line);
 
   std::size_t lines_written() const { return lines_written_; }
 
  private:
   std::string path_;
-  std::string contents_;
   std::size_t lines_written_ = 0;
 };
 

@@ -7,6 +7,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/graph_invariants.hpp"
+#include "routing/sweep.hpp"
 #include "util/contract.hpp"
 
 namespace gddr::routing {
@@ -44,14 +45,13 @@ bool has_demand_to(const DemandMatrix& dm, NodeId t) {
   return false;
 }
 
-// Propagates the per-node injections bound for `t` through row t's
-// positive edges, adding to `load`.  The row's edge subgraph must be
-// acyclic; a topological sweep in distance order is not available (ratios
-// are arbitrary), so Kahn's algorithm runs on the positive-ratio subgraph.
-// `node_amount` holds the injections on entry and is consumed.  Returns
-// the amount absorbed at t.
+// Sweeps t's injections (in `buf`) through row t in a Kahn order of
+// its positive-ratio edges, adding to `load`.  Row t's positive-ratio
+// edges must be acyclic: ratios are arbitrary here, so unlike
+// softmin_simulate there is no distance order to follow.  Returns the
+// amount absorbed at t.
 double propagate_destination(const DiGraph& g, std::span<const double> ratios,
-                             NodeId t, std::vector<double>& node_amount,
+                             NodeId t, sweep::Buffers& buf,
                              std::vector<bool>& mask,
                              std::vector<double>& load, bool strict) {
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -66,26 +66,11 @@ double propagate_destination(const DiGraph& g, std::span<const double> ratios,
     return 0.0;
   }
   // Kahn's output must be a valid topological order of the positive-ratio
-  // subgraph or the sweep below drops/double-counts traffic.
+  // subgraph or the sweep below reads traffic that is not final yet.
   GDDR_VALIDATE(graph::check_topological_order(g, mask, *order,
                                                "routing/simulate/toposort"));
-  double absorbed = 0.0;
-  for (NodeId v : *order) {
-    const double a = node_amount[static_cast<size_t>(v)];
-    if (a <= 0.0) continue;
-    if (v == t) {
-      absorbed += a;
-      continue;
-    }
-    for (EdgeId e : g.out_edges(v)) {
-      const double r = ratios[static_cast<size_t>(e)];
-      if (r <= 0.0) continue;
-      const double sent = a * r;
-      load[static_cast<size_t>(e)] += sent;
-      node_amount[static_cast<size_t>(g.edge(e).dst)] += sent;
-    }
-  }
-  return absorbed;
+  for (NodeId v : *order) sweep::pull(g, ratios, t, v, buf, load);
+  return buf.through[static_cast<size_t>(t)];
 }
 
 }  // namespace
@@ -101,28 +86,28 @@ SimulationResult simulate(const DiGraph& g, const Routing& routing,
   SimulationResult result;
   result.link_load.assign(static_cast<size_t>(g.num_edges()), 0.0);
 
-  std::vector<double> node_amount(static_cast<size_t>(g.num_nodes()));
+  sweep::Buffers buf;
   std::vector<bool> mask(static_cast<size_t>(g.num_edges()));
   double injected = 0.0;
   for (NodeId t = 0; t < g.num_nodes(); ++t) {
     // Every source bound for t shares row t, so their demands merge into
     // one injection vector and one sweep.
-    bool any = false;
-    for (NodeId s = 0; s < g.num_nodes(); ++s) {
-      const double d = s == t ? 0.0 : dm.at(s, t);
-      if (d <= 0.0) {
-        node_amount[static_cast<size_t>(s)] = 0.0;
-        continue;
-      }
-      node_amount[static_cast<size_t>(s)] = d;
-      injected += d;
-      any = true;
-    }
-    if (!any) continue;
+    if (!sweep::inject(dm, t, buf, injected)) continue;
     result.delivered +=
-        propagate_destination(g, routing.dest_ratios(t), t, node_amount, mask,
+        propagate_destination(g, routing.dest_ratios(t), t, buf, mask,
                               result.link_load, options.strict);
   }
+  sweep::finish(g, injected, options, result);
+  return result;
+}
+
+SimulationResult simulate(const DiGraph& g, const Routing& routing,
+                          const DemandMatrix& dm) {
+  return simulate(g, routing, dm, SimulateOptions{});
+}
+
+void sweep::finish(const DiGraph& g, double injected,
+                   const SimulateOptions& options, SimulationResult& result) {
   if (options.strict && injected > 0.0) {
     const double loss = std::abs(injected - result.delivered) / injected;
     if (loss > options.conservation_tolerance) {
@@ -132,7 +117,6 @@ SimulationResult simulate(const DiGraph& g, const Routing& routing,
           std::to_string(injected));
     }
   }
-
   result.link_utilisation.assign(static_cast<size_t>(g.num_edges()), 0.0);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     result.link_utilisation[static_cast<size_t>(e)] =
@@ -140,12 +124,6 @@ SimulationResult simulate(const DiGraph& g, const Routing& routing,
     result.u_max =
         std::max(result.u_max, result.link_utilisation[static_cast<size_t>(e)]);
   }
-  return result;
-}
-
-SimulationResult simulate(const DiGraph& g, const Routing& routing,
-                          const DemandMatrix& dm) {
-  return simulate(g, routing, dm, SimulateOptions{});
 }
 
 bool validate(const DiGraph& g, const Routing& routing,

@@ -15,7 +15,12 @@
 // `simulate` sums each destination's demand into per-node injections,
 // propagates them through row t in one topological sweep, and returns the
 // per-link loads and the max link utilisation U_max — the quantity the
-// whole system optimises (paper Eq. 1).
+// whole system optimises (paper Eq. 1).  The sweep is in pull form: a
+// vertex sums the traffic its positive-ratio in-edges bring, in in_edges
+// order, so its total does not depend on which topological order visits
+// it.  That is what lets routing::softmin_simulate (softmin.hpp) walk
+// reverse Dijkstra settle order instead of Kahn's and still return the
+// same bits.
 #pragma once
 
 #include <span>
@@ -45,8 +50,9 @@ class Routing {
   std::span<const double> dest_ratios(int t) const {
     return {ratios_.data() + index(t, 0), static_cast<std::size_t>(ne_)};
   }
-  // Writable row t.  Unlike set_ratio it stores any value unchecked, so
-  // tests can plant the corruptions the validators must reject.
+  // Writable row t.  Unlike set_ratio it stores any value unchecked: the
+  // softmin translation writes its shares, already in [0, 1], through it,
+  // and tests plant the corruptions the validators must reject.
   std::span<double> mutable_dest_ratios(int t) {
     return {ratios_.data() + index(t, 0), static_cast<std::size_t>(ne_)};
   }
@@ -83,10 +89,11 @@ struct SimulateOptions {
   bool strict = true;
 };
 
-// Propagates `dm` through `routing` on `g`, one topological sweep per
-// destination with demand.  Each such destination's positive-ratio edge
-// set must be acyclic (guaranteed by the softmin translation's downhill
-// DAG); cycles raise std::runtime_error.
+// Propagates `dm` through `routing` on `g`, one pull sweep in Kahn order
+// per destination with demand.  Each such destination's positive-ratio
+// edge set must be acyclic (guaranteed by the softmin translation's
+// downhill DAG); cycles raise std::runtime_error.  For a fresh softmin
+// routing, routing::softmin_simulate gives the same result in one pass.
 SimulationResult simulate(const graph::DiGraph& g, const Routing& routing,
                           const traffic::DemandMatrix& dm,
                           const SimulateOptions& options);
@@ -109,7 +116,9 @@ bool validate(const graph::DiGraph& g, const Routing& routing,
 // simulation cannot — NaN ratios evade the conservation check (NaN
 // comparisons are false) and absorption violations are invisible to the
 // propagation sweep — while loops and row-sum violations are left to
-// simulate(strict)'s Kahn and conservation checks.  The pair covers the
+// strict simulation: simulate's Kahn order finds loops (softmin_simulate
+// writes only downhill ratios, so it has none) and the conservation check
+// finds leaks.  The pair covers the
 // full §IV-A contract at a fraction of validate()'s cost (a plain
 // O(destinations x E) scan, no reachability search).  Never throws:
 // returns false with `error` describing the first violation.

@@ -10,6 +10,15 @@
 // one row of the destination-based Routing per destination.  The paper's
 // per-flow Figure-3 pruning and the other ablation modes live in
 // routing/reference.hpp.
+//
+// Every entry point shares one per-destination kernel: a reverse Dijkstra
+// toward t (graph::DijkstraWorkspace, reused across destinations), then
+// each settled vertex's ratios, written in reverse settle order.  A ratio
+// goes only to an edge whose head settled earlier, so reverse settle order
+// is a topological order of row t.  softmin_simulate uses that to pull t's
+// demand through the row in the same walk, with no loop check and no
+// Kahn sort; the pull is the one routing::simulate runs, so both give the
+// same bits.  Weights are checked once per translation.
 #pragma once
 
 #include <span>
@@ -17,6 +26,7 @@
 
 #include "graph/digraph.hpp"
 #include "routing/routing.hpp"
+#include "traffic/demand.hpp"
 
 namespace gddr::routing {
 
@@ -55,6 +65,33 @@ Routing softmin_routing_per_destination(
     const graph::DiGraph& g,
     const std::vector<std::vector<double>>& weights_by_dest,
     const SoftminOptions& options);
+
+// A softmin routing together with the simulation of one demand matrix
+// through it.
+struct SoftminSimulation {
+  Routing routing;
+  SimulationResult sim;
+};
+
+// Translates `weights` and simulates `dm` through the result in one pass
+// per destination: the same routing and the same bits as
+// simulate(g, softmin_routing(g, weights, options), dm) under strict
+// SimulateOptions.  Bad weights or sizes throw std::invalid_argument (a
+// translation failure); lost traffic, e.g. demand from a source that
+// cannot reach its destination, throws std::runtime_error (a simulation
+// failure).
+SoftminSimulation softmin_simulate(const graph::DiGraph& g,
+                                   const std::vector<double>& weights,
+                                   const SoftminOptions& options,
+                                   const traffic::DemandMatrix& dm);
+
+// softmin_simulate for the per-destination action space: bit-identical to
+// simulate(g, softmin_routing_per_destination(g, weights_by_dest,
+// options), dm).
+SoftminSimulation softmin_simulate_per_destination(
+    const graph::DiGraph& g,
+    const std::vector<std::vector<double>>& weights_by_dest,
+    const SoftminOptions& options, const traffic::DemandMatrix& dm);
 
 // Maps raw agent actions in [-1,1] to strictly positive edge weights
 // usable by softmin_routing (affine map to [min_weight, max_weight]).

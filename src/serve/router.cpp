@@ -401,11 +401,17 @@ FailureCause RobustRouter::try_policy_rung(
     return FailureCause::kDeadlineExpired;
   }
 
-  routing::Routing candidate;
+  // One pass translates and simulates.  A translation error (bad weights)
+  // throws std::invalid_argument; a strict simulation failure throws
+  // std::runtime_error.  The fused stage answers to the translation
+  // checkpoint.
+  routing::SoftminSimulation candidate;
   try {
     const std::vector<double> weights = routing::weights_from_actions(
         mean, config_.min_weight, config_.max_weight);
-    candidate = routing::softmin_routing(g, weights, config_.softmin);
+    candidate = routing::softmin_simulate(g, weights, config_.softmin, demand);
+  } catch (const std::runtime_error&) {
+    return FailureCause::kSimulationFailed;
   } catch (const std::exception&) {
     return FailureCause::kTranslationFailed;
   }
@@ -414,19 +420,15 @@ FailureCause RobustRouter::try_policy_rung(
   }
 
   std::string error;
-  if (!routing::validate_for_serving(g, candidate, demand, &error)) {
+  if (!routing::validate_for_serving(g, candidate.routing, demand, &error)) {
     return FailureCause::kInvalidRouting;
-  }
-  try {
-    decision.sim = routing::simulate(g, candidate, demand);
-  } catch (const std::exception&) {
-    return FailureCause::kSimulationFailed;
   }
   if (budget.expired(Clock::now())) {
     return FailureCause::kDeadlineExpired;
   }
+  decision.sim = std::move(candidate.sim);
   decision.rung = Rung::kGnnPolicy;
-  decision.routing = std::move(candidate);
+  decision.routing = std::move(candidate.routing);
   return FailureCause::kNone;
 }
 

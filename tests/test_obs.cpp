@@ -276,7 +276,11 @@ TEST_F(ObsTest, JsonlSinkAppendsCompleteLines) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "gddr_obs_sink.jsonl")
           .string();
-  std::remove(path.c_str());
+  // A file left by an earlier run is replaced, not appended to.
+  {
+    std::ofstream stale(path);
+    stale << "{\"stale\":true}\n{\"torn";
+  }
   JsonlSink sink(path);
   count("iters");
   sink.append(make_record(0, Registry::instance().snapshot()));
@@ -284,15 +288,36 @@ TEST_F(ObsTest, JsonlSinkAppendsCompleteLines) {
   sink.append(make_record(1, Registry::instance().snapshot()));
   EXPECT_EQ(sink.lines_written(), 2U);
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const auto read_lines = [&] {
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  };
+  std::vector<std::string> lines = read_lines();
   ASSERT_EQ(lines.size(), 2U);
   EXPECT_NE(lines[0].find("\"iter\":0"), std::string::npos);
   EXPECT_NE(lines[0].find("\"iters\":1"), std::string::npos);
   EXPECT_NE(lines[1].find("\"iter\":1"), std::string::npos);
   EXPECT_NE(lines[1].find("\"iters\":2"), std::string::npos);  // cumulative
+
+  // A long run: every record lands as one complete line, in order.
+  for (int i = 2; i < 1000; ++i) {
+    sink.append(make_record(i, Registry::instance().snapshot()));
+  }
+  EXPECT_EQ(sink.lines_written(), 1000U);
+  lines = read_lines();
+  ASSERT_EQ(lines.size(), 1000U);
+  for (int i = 0; i < 1000; ++i) {
+    const std::string& line = lines[static_cast<std::size_t>(i)];
+    EXPECT_EQ(line.rfind("{\"schema\":\"gddr.metrics.v1\",\"iter\":" +
+                             std::to_string(i) + ",",
+                         0),
+              0U)
+        << "line " << i;
+    EXPECT_EQ(line.back(), '}') << "line " << i;
+  }
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::remove(path.c_str());
 }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <span>
+#include <string>
 
 #include "graph/algorithms.hpp"
 #include "mcf/optimal.hpp"
@@ -11,9 +14,11 @@
 #include "routing/reference.hpp"
 #include "routing/routing.hpp"
 #include "routing/softmin.hpp"
+#include "support/routing_family.hpp"
 #include "topo/generators.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/generators.hpp"
+#include "util/rng.hpp"
 
 namespace gddr::routing {
 namespace {
@@ -923,6 +928,182 @@ TEST(InverseCapacityWeights, FavourFatLinks) {
   const Routing r = softmin_routing(g, w);
   EXPECT_GT(r.ratio(1, fat), r.ratio(1, thin));
   EXPECT_NEAR(r.ratio(1, fat) + r.ratio(1, thin), 1.0, 1e-12);
+}
+
+// ---------------- fused translate + simulate ----------------
+//
+// softmin_simulate must reproduce the two-pass path bit for bit: the
+// serving stage replay and the RL reward both read U_max exactly.  The
+// seeded family covers ER/WS/BA graphs at 5-100 nodes with capacity-skewed
+// and disconnected members, sparse and dense demand, and both weight
+// forms.
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_same_bits(std::span<const double> a, std::span<const double> b,
+                      const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_TRUE(same_bits(a[i], b[i]))
+        << what << " [" << i << "]: " << a[i] << " vs " << b[i];
+  }
+}
+
+void expect_relatively_close(double a, double b, const std::string& what) {
+  EXPECT_LE(std::abs(a - b), 1e-12 * std::abs(b))
+      << what << ": " << a << " vs " << b;
+}
+
+// `fused` against simulate(g, routing, dm), bit for bit, and that
+// simulation against the per-pair reference to 1e-12 relative.
+void expect_fused_matches_two_pass(const DiGraph& g,
+                                   const SoftminSimulation& fused,
+                                   const Routing& routing,
+                                   const DemandMatrix& dm,
+                                   const std::string& label) {
+  for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    expect_same_bits(fused.routing.dest_ratios(t), routing.dest_ratios(t),
+                     label + " row " + std::to_string(t));
+  }
+  const SimulationResult sim = simulate(g, routing, dm);
+  expect_same_bits(fused.sim.link_load, sim.link_load, label + " load");
+  expect_same_bits(fused.sim.link_utilisation, sim.link_utilisation,
+                   label + " utilisation");
+  EXPECT_TRUE(same_bits(fused.sim.delivered, sim.delivered))
+      << label << " delivered " << fused.sim.delivered << " vs "
+      << sim.delivered;
+  EXPECT_TRUE(same_bits(fused.sim.u_max, sim.u_max))
+      << label << " u_max " << fused.sim.u_max << " vs " << sim.u_max;
+
+  const SimulationResult ref =
+      reference::simulate(g, reference::broadcast(routing), dm);
+  expect_relatively_close(sim.u_max, ref.u_max, label + " reference u_max");
+  expect_relatively_close(sim.delivered, ref.delivered,
+                          label + " reference delivered");
+  for (std::size_t e = 0; e < ref.link_load.size(); ++e) {
+    expect_relatively_close(sim.link_load[e], ref.link_load[e],
+                            label + " reference load " + std::to_string(e));
+  }
+}
+
+// Sparse, dense and single-destination demand: the sparse and the
+// single-destination matrices leave destinations without demand.
+std::vector<std::pair<std::string, DemandMatrix>> demand_cases(
+    const DiGraph& g, const std::vector<std::vector<bool>>& reach,
+    util::Rng& rng) {
+  std::vector<std::pair<std::string, DemandMatrix>> cases;
+  cases.emplace_back("sparse", family::random_demand(g, reach, 0.08, rng));
+  cases.emplace_back("dense", family::random_demand(g, reach, 1.0, rng));
+  DemandMatrix one(g.num_nodes());
+  const auto t = static_cast<NodeId>(
+      rng.uniform_index(static_cast<std::uint64_t>(g.num_nodes())));
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    if (s != t &&
+        reach[static_cast<std::size_t>(s)][static_cast<std::size_t>(t)]) {
+      one.set(s, t, rng.uniform(1.0, 1000.0));
+    }
+  }
+  cases.emplace_back("to " + std::to_string(t), std::move(one));
+  return cases;
+}
+
+class FusedSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(FusedSweep, SingleWeightVectorMatchesTwoPassBitForBit) {
+  const auto cases = family::graph_family();
+  const auto& c = cases[static_cast<std::size_t>(GetParam())];
+  const DiGraph& g = c.g;
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 11000);
+  const auto reach = family::reachability(g);
+  // Random weights, then unit weights: distance ties exercise the
+  // downhill filter's tie tolerance.
+  for (const bool ties : {false, true}) {
+    const auto w =
+        ties ? graph::unit_weights(g) : family::random_weights(g, rng);
+    SoftminOptions options;
+    options.gamma = rng.uniform(0.5, 6.0);
+    const Routing routing = softmin_routing(g, w, options);
+    for (const auto& [name, dm] : demand_cases(g, reach, rng)) {
+      expect_fused_matches_two_pass(
+          g, softmin_simulate(g, w, options, dm), routing, dm,
+          c.name + (ties ? " unit-w " : " random-w ") + name);
+    }
+  }
+}
+
+TEST_P(FusedSweep, PerDestinationWeightsMatchTwoPassBitForBit) {
+  const auto cases = family::graph_family();
+  const auto& c = cases[static_cast<std::size_t>(GetParam())];
+  const DiGraph& g = c.g;
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 12000);
+  const auto reach = family::reachability(g);
+  std::vector<std::vector<double>> rows(
+      static_cast<std::size_t>(g.num_nodes()));
+  for (auto& row : rows) {
+    // Some destinations keep the unit-weight fallback (empty row).
+    if (rng.uniform(0.0, 1.0) < 0.8) row = family::random_weights(g, rng);
+  }
+  const Routing routing = softmin_routing_per_destination(g, rows, {});
+  for (const auto& [name, dm] : demand_cases(g, reach, rng)) {
+    expect_fused_matches_two_pass(
+        g, softmin_simulate_per_destination(g, rows, {}, dm), routing, dm,
+        c.name + " per-destination " + name);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Family, FusedSweep,
+                         ::testing::Range(0, family::graph_family_size()));
+
+TEST(FusedSweep, DemandFromAnUnreachableSourceThrowsInBothPaths) {
+  util::Rng rng(13000);
+  int disconnected = 0;
+  auto cases = family::graph_family();
+  cases.push_back({"two-islands", two_islands()});
+  for (const auto& c : cases) {
+    const DiGraph& g = c.g;
+    const auto reach = family::reachability(g);
+    DemandMatrix dm = family::random_demand(g, reach, 0.3, rng);
+    bool planted = false;
+    for (NodeId s = 0; s < g.num_nodes() && !planted; ++s) {
+      for (NodeId t = 0; t < g.num_nodes() && !planted; ++t) {
+        if (s != t &&
+            !reach[static_cast<std::size_t>(s)][static_cast<std::size_t>(t)]) {
+          dm.set(s, t, 5.0);
+          planted = true;
+        }
+      }
+    }
+    if (!planted) continue;
+    ++disconnected;
+    const auto w = family::random_weights(g, rng);
+    EXPECT_THROW(softmin_simulate(g, w, {}, dm), std::runtime_error)
+        << c.name;
+    EXPECT_THROW(simulate(g, softmin_routing(g, w, {}), dm),
+                 std::runtime_error)
+        << c.name;
+    const std::vector<std::vector<double>> rows(
+        static_cast<std::size_t>(g.num_nodes()), w);
+    EXPECT_THROW(softmin_simulate_per_destination(g, rows, {}, dm),
+                 std::runtime_error)
+        << c.name;
+  }
+  EXPECT_GE(disconnected, 2);
+}
+
+TEST(FusedSweep, BadWeightsThrowInvalidArgument) {
+  const DiGraph g = diamond();
+  DemandMatrix dm(4);
+  dm.set(0, 3, 1.0);
+  EXPECT_THROW(softmin_simulate(g, {1.0, 1.0}, {}, dm),
+               std::invalid_argument);
+  EXPECT_THROW(softmin_simulate(g, {1.0, -1.0, 1.0, 1.0}, {}, dm),
+               std::invalid_argument);
+  EXPECT_THROW(softmin_simulate(g, {1.0, std::nan(""), 1.0, 1.0}, {}, dm),
+               std::invalid_argument);
+  EXPECT_THROW(softmin_simulate_per_destination(g, {{}, {}}, {}, dm),
+               std::invalid_argument);
 }
 
 }  // namespace

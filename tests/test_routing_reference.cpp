@@ -25,6 +25,7 @@
 #include "routing/reference.hpp"
 #include "routing/routing.hpp"
 #include "routing/softmin.hpp"
+#include "support/routing_family.hpp"
 #include "topo/generators.hpp"
 #include "topo/zoo.hpp"
 #include "util/rng.hpp"
@@ -37,90 +38,12 @@ using graph::EdgeId;
 using graph::NodeId;
 using reference::PairRouting;
 using traffic::DemandMatrix;
-
-struct GraphCase {
-  std::string name;
-  DiGraph g;
-};
-
-// Disjoint union of `a` and `b` plus one isolated vertex: many pairs are
-// unreachable in both directions.
-DiGraph disjoint_union(const DiGraph& a, const DiGraph& b) {
-  DiGraph u(a.num_nodes() + b.num_nodes() + 1);
-  for (const auto& e : a.edges()) u.add_edge(e.src, e.dst, e.capacity);
-  for (const auto& e : b.edges()) {
-    u.add_edge(e.src + a.num_nodes(), e.dst + a.num_nodes(), e.capacity);
-  }
-  return u;
-}
-
-std::vector<GraphCase> graph_family() {
-  util::Rng rng(20240);
-  const topo::CapacityModel skewed{{10.0, 100.0, 1000.0, 10000.0}};
-  std::vector<GraphCase> cases;
-  cases.push_back({"er5", topo::erdos_renyi(5, 0.4, rng)});
-  cases.push_back({"er12", topo::erdos_renyi(12, 0.3, rng)});
-  cases.push_back({"er30", topo::erdos_renyi(30, 0.12, rng)});
-  cases.push_back({"er100", topo::erdos_renyi(100, 0.04, rng)});
-  cases.push_back({"ws8", topo::watts_strogatz(8, 4, 0.2, rng)});
-  cases.push_back({"ws24", topo::watts_strogatz(24, 4, 0.3, rng)});
-  cases.push_back({"ws60", topo::watts_strogatz(60, 4, 0.2, rng)});
-  cases.push_back({"ba6", topo::barabasi_albert(6, 2, rng)});
-  cases.push_back({"ba25", topo::barabasi_albert(25, 2, rng)});
-  cases.push_back({"ba100", topo::barabasi_albert(100, 2, rng)});
-  cases.push_back({"er16-skewed", topo::erdos_renyi(16, 0.25, rng, skewed)});
-  cases.push_back({"ba40-skewed", topo::barabasi_albert(40, 2, rng, skewed)});
-  cases.push_back({"split-er7-ba9",
-                   disjoint_union(topo::erdos_renyi(7, 0.4, rng),
-                                  topo::barabasi_albert(9, 2, rng))});
-  // Dropping random directed edges leaves some pairs reachable one way
-  // only.
-  const DiGraph ws = topo::watts_strogatz(16, 4, 0.2, rng);
-  std::vector<bool> drop(static_cast<std::size_t>(ws.num_edges()));
-  for (auto&& d : drop) d = rng.uniform(0.0, 1.0) < 0.3;
-  cases.push_back({"ws16-cut", ws.without_edges(drop)});
-  return cases;
-}
-
-// reachable[s][t]: some s -> t path exists.
-std::vector<std::vector<bool>> reachability(const DiGraph& g) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  const auto unit = graph::unit_weights(g);
-  for (NodeId t = 0; t < g.num_nodes(); ++t) {
-    const auto sp = graph::dijkstra_to(g, t, unit);
-    for (NodeId s = 0; s < g.num_nodes(); ++s) {
-      reach[static_cast<std::size_t>(s)][static_cast<std::size_t>(t)] =
-          sp.dist[static_cast<std::size_t>(s)] != graph::kInfDist;
-    }
-  }
-  return reach;
-}
-
-// Demand on a `density` fraction of the connected pairs.
-DemandMatrix random_demand(const DiGraph& g,
-                           const std::vector<std::vector<bool>>& reach,
-                           double density, util::Rng& rng) {
-  DemandMatrix dm(g.num_nodes());
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      if (s == t ||
-          !reach[static_cast<std::size_t>(s)][static_cast<std::size_t>(t)]) {
-        continue;
-      }
-      if (rng.uniform(0.0, 1.0) < density) {
-        dm.set(s, t, rng.uniform(1.0, 1000.0));
-      }
-    }
-  }
-  return dm;
-}
-
-std::vector<double> random_weights(const DiGraph& g, util::Rng& rng) {
-  std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
-  for (auto& x : w) x = rng.uniform(0.5, 3.0);
-  return w;
-}
+using family::graph_family;
+using family::graph_family_size;
+using family::GraphCase;
+using family::random_demand;
+using family::random_weights;
+using family::reachability;
 
 // Vertices carrying flow (s,t): reachable from s through positive ratios.
 std::vector<bool> traffic_carrying(const DiGraph& g,
@@ -328,8 +251,7 @@ TEST(RoutingDifferentialCatalogue, DownhillSoftminMatchesPerPairTranslation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Family, RoutingDifferential,
-                         ::testing::Range(0, static_cast<int>(
-                                                 graph_family().size())));
+                         ::testing::Range(0, graph_family_size()));
 
 // ---------------- verdict parity ----------------
 

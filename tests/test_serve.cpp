@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
@@ -24,14 +25,19 @@
 
 #include "core/experiment.hpp"
 #include "core/policies.hpp"
+#include "core/routing_env.hpp"
+#include "core/scenario.hpp"
 #include "obs/metrics.hpp"
+#include "rl/forward.hpp"
 #include "routing/routing.hpp"
+#include "routing/softmin.hpp"
 #include "serve/breaker.hpp"
 #include "serve/deadline.hpp"
 #include "serve/engine.hpp"
 #include "serve/router.hpp"
 #include "serve/sanitize.hpp"
 #include "serve/topo_cache.hpp"
+#include "topo/generators.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/demand.hpp"
 #include "util/fault.hpp"
@@ -679,6 +685,66 @@ TEST(RobustRouter, ServesTopRungWhenHealthy) {
   EXPECT_EQ(router.stats().requests, 1);
   EXPECT_EQ(router.stats().rung_decisions[static_cast<int>(Rung::kGnnPolicy)],
             1);
+}
+
+// The benchmark's traced stage replay re-runs the policy rung as the
+// two-pass path (softmin_routing, then simulate) and requires
+// RobustRouter::decide's U_max with ==.  The same check here fails ctest
+// before a drift fails the benchmark.
+TEST(RobustRouter, PolicyRungMatchesTheTwoPassReplayBitForBit) {
+  for (const bool ba100 : {false, true}) {
+    util::Rng graph_rng(100);
+    const graph::DiGraph g =
+        ba100 ? topo::barabasi_albert(100, 2, graph_rng) : topo::abilene();
+    core::ScenarioParams params = core::experiment_scenario_params();
+    params.train_sequences = 0;
+    params.test_sequences = 1;
+    util::Rng scenario_rng(3);
+    const core::Scenario scenario =
+        core::make_scenario(g, params, scenario_rng);
+    util::Rng policy_rng(7);
+    core::GnnPolicy policy(core::experiment_gnn_config(5), policy_rng);
+    RouterConfig cfg = test_router_config();
+    cfg.node_feature_scale = scenario.node_feature_scale;
+    cfg.flat_feature_scale = scenario.flat_feature_scale;
+    RobustRouter router(&policy, cfg);
+    const auto& seq = scenario.test_sequences[0];
+    for (int t = cfg.memory; t < cfg.memory + 3; ++t) {
+      RouteRequest request;
+      request.graph = &g;
+      request.demand = seq[static_cast<std::size_t>(t)];
+      request.history.assign(seq.begin() + (t - cfg.memory),
+                             seq.begin() + t);
+      const auto decision = router.decide(request);
+      ASSERT_EQ(decision.rung, Rung::kGnnPolicy) << "ba100 " << ba100;
+
+      const auto entry = router.topology_cache().acquire(g);
+      serve::SanitizeReport report;
+      const traffic::DemandMatrix demand = serve::sanitize_demands(
+          request.demand, g.num_nodes(), cfg.sanitize, entry->reachable,
+          report);
+      const rl::Observation obs = core::RoutingEnv::build_observation(
+          entry->obs_scenario, request.history, cfg.memory, cfg.memory,
+          cfg.node_features);
+      const std::vector<double> mean = rl::forward_policy(policy, obs).mean;
+      const routing::Routing replay = routing::softmin_routing(
+          g, routing::weights_from_actions(mean, cfg.min_weight,
+                                           cfg.max_weight),
+          cfg.softmin);
+      EXPECT_EQ(decision.sim.u_max,
+                routing::simulate(g, replay, demand).u_max)
+          << "ba100 " << ba100 << " step " << t;
+      for (graph::NodeId dest = 0; dest < g.num_nodes(); ++dest) {
+        const auto served = decision.routing.dest_ratios(dest);
+        const auto expected = replay.dest_ratios(dest);
+        ASSERT_EQ(served.size(), expected.size());
+        EXPECT_EQ(std::memcmp(served.data(), expected.data(),
+                              served.size_bytes()),
+                  0)
+            << "ba100 " << ba100 << " step " << t << " row " << dest;
+      }
+    }
+  }
 }
 
 TEST(RobustRouter, NoPolicyServesFromStaticRungs) {
