@@ -195,8 +195,7 @@ long run_swap_storm(const lifecycle::ModelRegistry& registry,
     check(value != nullptr,
           "storm: every served version must be a published version");
     if (value == nullptr) continue;
-    serve::RobustRouter reference(
-        const_cast<core::GnnPolicy*>(value->policy.get()), router_config());
+    serve::RobustRouter reference(value->policy.get(), router_config());
     long mismatches = 0;
     for (std::size_t i = 0; i < demands.size(); ++i) {
       if (served_version[i] != version) continue;

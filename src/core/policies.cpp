@@ -121,6 +121,28 @@ GraphVars union_vars(Tape& tape,
                    stack_rows(tape, obs, &rl::Observation::globals)};
 }
 
+// Tape-free mean (pi's `mean_head`) and value (vf's decoded global) of a
+// GNN policy; the caller adds the log-std row for Heads::kAll.
+rl::PolicyForward infer_gnn_heads(const gnn::EncodeProcessDecode& pi,
+                                  const gnn::EncodeProcessDecode& vf,
+                                  gnn::Head mean_head,
+                                  const rl::Observation& obs,
+                                  rl::Heads heads) {
+  const auto spec = cached_spec(obs);
+  thread_local std::vector<float> out;
+  rl::PolicyForward fwd;
+  if (heads != rl::Heads::kValue) {
+    pi.infer(*spec, obs.nodes, obs.edges, obs.globals, mean_head, out);
+    fwd.mean.assign(out.begin(), out.end());
+  }
+  if (heads != rl::Heads::kMean) {
+    vf.infer(*spec, obs.nodes, obs.edges, obs.globals, gnn::Head::kGlobals,
+             out);
+    fwd.value = out.front();
+  }
+  return fwd;
+}
+
 }  // namespace
 
 // ---------------- MlpPolicy ----------------
@@ -186,6 +208,28 @@ rl::Policy::BatchEvaluation MlpPolicy::evaluate_batch(
       vf_.forward(tape, xs)};
 }
 
+rl::PolicyForward MlpPolicy::infer(const rl::Observation& obs,
+                                   rl::Heads heads) const {
+  (void)action_dim(obs);  // validates the observation size
+  thread_local std::vector<float> x;
+  thread_local std::vector<float> out;
+  x.assign(obs.flat.begin(), obs.flat.end());
+  rl::PolicyForward fwd;
+  if (heads != rl::Heads::kValue) {
+    pi_.infer(1, x.data(), out);
+    fwd.mean.assign(out.begin(), out.end());
+  }
+  if (heads != rl::Heads::kMean) {
+    vf_.infer(1, x.data(), out);
+    fwd.value = out.front();
+  }
+  if (heads == rl::Heads::kAll) {
+    const auto ls = log_std_.value.data();
+    fwd.log_std.assign(ls.begin(), ls.end());
+  }
+  return fwd;
+}
+
 std::vector<nn::Parameter*> MlpPolicy::parameters() {
   std::vector<nn::Parameter*> params = pi_.parameters();
   for (auto* p : vf_.parameters()) params.push_back(p);
@@ -243,29 +287,6 @@ Tape::Var GnnPolicy::action_mean(Tape& tape, const rl::Observation& obs) {
   return tape.reshape(out.edges, 1, spec->num_edges());
 }
 
-GnnPolicy::UnionPass GnnPolicy::pi_over_union(
-    Tape& tape, const std::vector<const rl::Observation*>& obs) {
-  UnionPass pass{union_spec(obs), {}, {}};
-  pass.in = union_vars(tape, obs);
-  pass.pi = pi_.forward(tape, pass.spec, pass.in);
-  return pass;
-}
-
-bool GnnPolicy::action_means(Tape& tape,
-                             const std::vector<const rl::Observation*>& obs,
-                             Tape::Var& out) {
-  if (obs.empty()) return false;
-  const int edges = action_dim(*obs.front());
-  for (const rl::Observation* o : obs) {
-    if (action_dim(*o) != edges) return false;
-  }
-  // Decoded union edge attributes (B*E x 1) -> one action row per graph
-  // (B x E): row-major reshape keeps graph b's E edges on row b.
-  out = tape.reshape(pi_over_union(tape, obs).pi.edges,
-                     static_cast<int>(obs.size()), edges);
-  return true;
-}
-
 Tape::Var GnnPolicy::value(Tape& tape, const rl::Observation& obs) {
   const auto spec = cached_spec(obs);
   const GraphVars out = vf_.forward(tape, *spec, graph_vars_from(tape, obs));
@@ -278,13 +299,31 @@ Tape::Var GnnPolicy::log_std_row(Tape& tape, int adim) {
 
 rl::Policy::BatchEvaluation GnnPolicy::evaluate_batch(
     Tape& tape, const std::vector<const rl::Observation*>& obs) {
-  const UnionPass pass = pi_over_union(tape, obs);
-  const GraphVars vf = vf_.forward(tape, pass.spec, pass.in);
+  const GraphSpec spec = union_spec(obs);
+  const GraphVars in = union_vars(tape, obs);
+  const GraphVars pi = pi_.forward(tape, spec, in);
+  const GraphVars vf = vf_.forward(tape, spec, in);
   // Union edge rows are sample-major already: one action element each.
   return BatchEvaluation{
-      pass.pi.edges,
-      tape.broadcast_rows(tape.leaf(log_std_scalar_), pass.spec.num_edges()),
+      pi.edges,
+      tape.broadcast_rows(tape.leaf(log_std_scalar_), spec.num_edges()),
       vf.globals};
+}
+
+rl::PolicyForward GnnPolicy::infer(const rl::Observation& obs,
+                                   rl::Heads heads) const {
+  // Decoded edge attributes (E x 1) are the action row (1 x E).
+  rl::PolicyForward fwd =
+      infer_gnn_heads(pi_, vf_, gnn::Head::kEdges, obs, heads);
+  if (heads == rl::Heads::kAll) {
+    const int adim = action_dim(obs);
+    if (adim <= 0) {
+      throw std::invalid_argument("GnnPolicy: observation has no edges");
+    }
+    fwd.log_std.assign(static_cast<std::size_t>(adim),
+                       log_std_scalar_.value.at(0, 0));
+  }
+  return fwd;
 }
 
 std::vector<nn::Parameter*> GnnPolicy::parameters() {
@@ -366,6 +405,18 @@ rl::Policy::BatchEvaluation IterativeGnnPolicy::evaluate_batch(
       tape.reshape(tape.broadcast_rows(tape.leaf(log_std_), batch), 2 * batch,
                    1),
       vf.globals};
+}
+
+rl::PolicyForward IterativeGnnPolicy::infer(const rl::Observation& obs,
+                                            rl::Heads heads) const {
+  // Decoded globals (1 x 2) are the (weight, gamma) action.
+  rl::PolicyForward fwd =
+      infer_gnn_heads(pi_, vf_, gnn::Head::kGlobals, obs, heads);
+  if (heads == rl::Heads::kAll) {
+    const auto ls = log_std_.value.data();
+    fwd.log_std.assign(ls.begin(), ls.end());
+  }
+  return fwd;
 }
 
 std::vector<nn::Parameter*> IterativeGnnPolicy::parameters() {

@@ -48,6 +48,8 @@ class MlpPolicy final : public rl::Policy {
       nn::Tape& tape, const std::vector<const rl::Observation*>& obs) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return "MLP"; }
+  rl::PolicyForward infer(const rl::Observation& obs,
+                          rl::Heads heads) const override;
 
   std::size_t num_parameters() const;
 
@@ -89,29 +91,12 @@ class GnnPolicy final : public rl::Policy {
       nn::Tape& tape, const std::vector<const rl::Observation*>& obs) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return "GNN"; }
-
-  // Serving micro-batches: one encode-process-decode forward over the
-  // union of the observations' graphs.  Row b of `out` is bit-identical
-  // to action_mean(*obs[b]).  Returns false when the observations differ
-  // in edge count (the rows of `out` would differ in length).
-  bool action_means(nn::Tape& tape,
-                    const std::vector<const rl::Observation*>& obs,
-                    nn::Tape::Var& out) override;
+  rl::PolicyForward infer(const rl::Observation& obs,
+                          rl::Heads heads) const override;
 
   std::size_t num_parameters() const;
 
  private:
-  // pi_ over the observations' disjoint-union graph: the one batched
-  // policy forward behind action_means (serving) and evaluate_batch
-  // (training).  Keeps the union and its inputs for vf_ to reuse.
-  struct UnionPass {
-    gnn::GraphSpec spec;
-    gnn::GraphVars in;
-    gnn::GraphVars pi;
-  };
-  UnionPass pi_over_union(nn::Tape& tape,
-                          const std::vector<const rl::Observation*>& obs);
-
   GnnPolicyConfig config_;
   gnn::EncodeProcessDecode pi_;
   gnn::EncodeProcessDecode vf_;
@@ -140,6 +125,8 @@ class IterativeGnnPolicy final : public rl::Policy {
       nn::Tape& tape, const std::vector<const rl::Observation*>& obs) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return "GNN-Iterative"; }
+  rl::PolicyForward infer(const rl::Observation& obs,
+                          rl::Heads heads) const override;
 
   std::size_t num_parameters() const;
 

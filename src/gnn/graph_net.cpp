@@ -1,6 +1,9 @@
 #include "gnn/graph_net.hpp"
 
+#include <algorithm>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -95,13 +98,17 @@ MlpConfig make_mlp_config(const std::vector<int>& hidden, nn::Activation act,
   return cfg;
 }
 
-void check_graph_vars(nn::Tape& tape, const GraphSpec& spec,
-                      const GraphVars& in, int node_dim, int edge_dim,
-                      int global_dim, const char* who) {
+void check_planned(const GraphSpec& spec, const char* who) {
   if (!spec.planned()) {
     throw std::invalid_argument(std::string(who) +
                                 ": GraphSpec has no plans (ensure_plans)");
   }
+}
+
+void check_graph_vars(nn::Tape& tape, const GraphSpec& spec,
+                      const GraphVars& in, int node_dim, int edge_dim,
+                      int global_dim, const char* who) {
+  check_planned(spec, who);
   const auto& nv = tape.value(in.nodes);
   const auto& ev = tape.value(in.edges);
   const auto& gv = tape.value(in.globals);
@@ -112,6 +119,60 @@ void check_graph_vars(nn::Tape& tape, const GraphSpec& spec,
         std::string(who) + ": graph attribute shapes " + nv.shape_str() +
         "/" + ev.shape_str() + "/" + gv.shape_str() +
         " do not match the configured sizes");
+  }
+}
+
+std::size_t elements(int rows, int cols) {
+  return static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+}
+
+// out[i] += m[indices[i]] for every row i: Tape::add_gathered's forward,
+// in place, with its index check.
+void add_gathered(const std::vector<int>& indices, int m_rows, int cols,
+                  const float* m, float* out) {
+  const auto width = static_cast<std::size_t>(cols);
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    const int idx = indices[i];
+    if (idx < 0 || idx >= m_rows) {
+      throw std::invalid_argument("add_gathered: index out of range");
+    }
+    const float* row = m + static_cast<std::size_t>(idx) * width;
+    float* orow = out + i * width;
+    for (std::size_t j = 0; j < width; ++j) orow[j] += row[j];
+  }
+}
+
+struct ColumnBlock {
+  int cols;
+  const float* data;
+};
+
+// out = the row-wise concatenation of `blocks` (Tape::concat_cols).
+void concat_cols(int rows, std::initializer_list<ColumnBlock> blocks,
+                 std::vector<float>& out) {
+  int width = 0;
+  for (const ColumnBlock& b : blocks) width += b.cols;
+  out.resize(elements(rows, width));
+  float* dst = out.data();
+  for (int i = 0; i < rows; ++i) {
+    for (const ColumnBlock& b : blocks) {
+      const float* src = b.data + elements(i, b.cols);
+      dst = std::copy(src, src + b.cols, dst);
+    }
+  }
+}
+
+// y (rows x w.cols()) = x * W[first_row:] + bias, where x is rows x k and
+// the product reads rows [first_row, first_row + k) of w in place: the
+// identity-activation Tape::linear over a slice_rows block.
+void linear_block(int rows, int k, const float* x, const nn::Tensor& w,
+                  int first_row, const float* bias, std::vector<float>& y) {
+  const float* block = w.data().data() + elements(first_row, w.cols());
+  y.resize(elements(rows, w.cols()));
+  nn::kernels::matmul_nn(rows, k, w.cols(), x, block, y.data());
+  if (bias != nullptr) {
+    nn::kernels::bias_act(rows, w.cols(), y.data(), bias, y.data(),
+                          nn::Activation::kIdentity);
   }
 }
 
@@ -195,6 +256,78 @@ GraphVars GnBlock::forward(Tape& tape, const GraphSpec& spec,
   return GraphVars{nodes_out, edges_out, globals_out};
 }
 
+void GnBlock::infer(const GraphSpec& spec, const GraphBuffers& in,
+                    GraphBuffers& out) const {
+  check_planned(spec, "GnBlock");
+  const int n = spec.num_nodes;
+  const int e = spec.num_edges();
+  const int g = spec.num_graphs;
+  const int ei = config_.edge_in;
+  const int ni = config_.node_in;
+  const int gi = config_.global_in;
+  if (in.nodes.size() != elements(n, ni) ||
+      in.edges.size() != elements(e, ei) ||
+      in.globals.size() != elements(g, gi)) {
+    throw std::invalid_argument(
+        "GnBlock: graph attribute buffers do not match the configured "
+        "sizes");
+  }
+  struct Scratch {
+    std::vector<float> pre;   // an MLP's layer-0 pre-activation
+    std::vector<float> proj;  // a node or graph block's projection
+    std::vector<float> cat;   // a concatenated MLP input
+    std::vector<float> pooled_edges;
+    std::vector<float> pooled_nodes;
+  };
+  thread_local Scratch ws;
+
+  // --- phi_e, projected: E*W_e + b, then the sender, receiver and graph
+  // projections gathered onto edges, in forward()'s order ---
+  const nn::Tensor& we = edge_mlp_.first_weight();
+  const int he = we.cols();
+  linear_block(e, ei, in.edges.data(), we, 0,
+               edge_mlp_.first_bias().data().data(), ws.pre);
+  linear_block(n, ni, in.nodes.data(), we, ei, nullptr, ws.proj);
+  add_gathered(spec.senders, n, he, ws.proj.data(), ws.pre.data());
+  linear_block(n, ni, in.nodes.data(), we, ei + ni, nullptr, ws.proj);
+  add_gathered(spec.receivers, n, he, ws.proj.data(), ws.pre.data());
+  linear_block(g, gi, in.globals.data(), we, ei + 2 * ni, nullptr, ws.proj);
+  add_gathered(*spec.edge_graph, g, he, ws.proj.data(), ws.pre.data());
+  edge_mlp_.infer_from(e, ws.pre.data(), out.edges);
+
+  // --- rho_{e->v}, then phi_v: [agg_edges, v_i] * W + b plus the
+  // gathered graph projection ---
+  const int eo = config_.edge_out;
+  ws.pooled_edges.resize(elements(n, eo));
+  nn::kernels::segment_sum(*spec.receiver_plan, eo, out.edges.data(),
+                           ws.pooled_edges.data());
+  concat_cols(n, {{eo, ws.pooled_edges.data()}, {ni, in.nodes.data()}},
+              ws.cat);
+  const nn::Tensor& wn = node_mlp_.first_weight();
+  const int per_node = eo + ni;
+  linear_block(n, per_node, ws.cat.data(), wn, 0,
+               node_mlp_.first_bias().data().data(), ws.pre);
+  linear_block(g, gi, in.globals.data(), wn, per_node, nullptr, ws.proj);
+  add_gathered(*spec.node_graph, g, wn.cols(), ws.proj.data(),
+               ws.pre.data());
+  node_mlp_.infer_from(n, ws.pre.data(), out.nodes);
+
+  // --- rho_{e->u}, rho_{v->u}, then phi_u ---
+  const int no = config_.node_out;
+  ws.pooled_edges.resize(elements(g, eo));
+  nn::kernels::segment_sum(*spec.edge_pool_plan, eo, out.edges.data(),
+                           ws.pooled_edges.data());
+  ws.pooled_nodes.resize(elements(g, no));
+  nn::kernels::segment_sum(*spec.node_pool_plan, no, out.nodes.data(),
+                           ws.pooled_nodes.data());
+  concat_cols(g,
+              {{eo, ws.pooled_edges.data()},
+               {no, ws.pooled_nodes.data()},
+               {gi, in.globals.data()}},
+              ws.cat);
+  global_mlp_.infer(g, ws.cat.data(), out.globals);
+}
+
 std::vector<nn::Parameter*> GnBlock::parameters() {
   std::vector<nn::Parameter*> params = edge_mlp_.parameters();
   for (auto* p : node_mlp_.parameters()) params.push_back(p);
@@ -227,6 +360,21 @@ GraphVars IndependentBlock::forward(Tape& tape, const GraphVars& in) {
   return GraphVars{node_mlp_.forward(tape, in.nodes),
                    edge_mlp_.forward(tape, in.edges),
                    global_mlp_.forward(tape, in.globals)};
+}
+
+void IndependentBlock::infer(Head head, int rows, const float* in,
+                             std::vector<float>& out) const {
+  switch (head) {
+    case Head::kNodes:
+      node_mlp_.infer(rows, in, out);
+      return;
+    case Head::kEdges:
+      edge_mlp_.infer(rows, in, out);
+      return;
+    case Head::kGlobals:
+      global_mlp_.infer(rows, in, out);
+      return;
+  }
 }
 
 std::vector<nn::Parameter*> IndependentBlock::parameters() {
@@ -303,6 +451,60 @@ GraphVars EncodeProcessDecode::forward(Tape& tape, const GraphSpec& spec,
     latent = core_.forward(tape, spec, core_in);
   }
   return decoder_.forward(tape, latent);
+}
+
+void EncodeProcessDecode::infer(const GraphSpec& spec, const nn::Tensor& nodes,
+                                const nn::Tensor& edges,
+                                const nn::Tensor& globals, Head head,
+                                std::vector<float>& out) const {
+  obs::ScopedTimer infer_timer("gnn/infer");
+  check_planned(spec, "EncodeProcessDecode");
+  const int n = spec.num_nodes;
+  const int e = spec.num_edges();
+  const int g = spec.num_graphs;
+  if (nodes.rows() != n || nodes.cols() != config_.node_in ||
+      edges.rows() != e || edges.cols() != config_.edge_in ||
+      globals.rows() != g || globals.cols() != config_.global_in) {
+    throw std::invalid_argument(
+        "EncodeProcessDecode: graph attribute shapes " + nodes.shape_str() +
+        "/" + edges.shape_str() + "/" + globals.shape_str() +
+        " do not match the configured sizes");
+  }
+  struct Scratch {
+    GraphBuffers encoded;
+    GraphBuffers core_in;
+    GraphBuffers latent;
+  };
+  thread_local Scratch ws;
+  encoder_.infer(Head::kNodes, n, nodes.data().data(), ws.encoded.nodes);
+  encoder_.infer(Head::kEdges, e, edges.data().data(), ws.encoded.edges);
+  encoder_.infer(Head::kGlobals, g, globals.data().data(),
+                 ws.encoded.globals);
+  const int l = config_.latent;
+  const GraphBuffers* latent = &ws.encoded;
+  for (int step = 0; step < config_.steps; ++step) {
+    concat_cols(n, {{l, ws.encoded.nodes.data()}, {l, latent->nodes.data()}},
+                ws.core_in.nodes);
+    concat_cols(e, {{l, ws.encoded.edges.data()}, {l, latent->edges.data()}},
+                ws.core_in.edges);
+    concat_cols(g,
+                {{l, ws.encoded.globals.data()},
+                 {l, latent->globals.data()}},
+                ws.core_in.globals);
+    core_.infer(spec, ws.core_in, ws.latent);
+    latent = &ws.latent;
+  }
+  switch (head) {
+    case Head::kNodes:
+      decoder_.infer(head, n, latent->nodes.data(), out);
+      return;
+    case Head::kEdges:
+      decoder_.infer(head, e, latent->edges.data(), out);
+      return;
+    case Head::kGlobals:
+      decoder_.infer(head, g, latent->globals.data(), out);
+      return;
+  }
 }
 
 std::vector<nn::Parameter*> EncodeProcessDecode::parameters() {

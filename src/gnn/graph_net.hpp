@@ -21,6 +21,13 @@
 // Every forward runs over a disjoint union of graphs (GraphSpec), so one
 // pass can evaluate a whole PPO minibatch, even a mixed-topology one.
 //
+// Each block also has a tape-free, const infer() over float buffers
+// (GraphBuffers): the no-grad path that serving and rollout collection
+// run.  It calls the same nn::kernels on the same operands in the same
+// order as forward() records them, reading row blocks of the weights in
+// place where forward() copies them with slice_rows, so every output is
+// bit-identical to forward()'s.  Its scratch buffers are thread-local.
+//
 // EncodeProcessDecode composes an independent encoder (per-element MLPs,
 // no message passing), a recurrent full GN core applied `steps` times on
 // the concatenation of the encoded input and the previous latent (the
@@ -87,6 +94,19 @@ struct GraphVars {
   nn::Tape::Var globals;  // num_graphs x global_dim
 };
 
+// A graph union's attributes as dense row-major float buffers: the
+// tape-free counterpart of GraphVars.  Row counts come from the GraphSpec,
+// widths from the block's configuration.
+struct GraphBuffers {
+  std::vector<float> nodes;    // N x node_dim
+  std::vector<float> edges;    // E x edge_dim
+  std::vector<float> globals;  // num_graphs x global_dim
+};
+
+// One attribute of a graph: which decoded head EncodeProcessDecode::infer
+// computes, and which MLP IndependentBlock::infer runs.
+enum class Head { kNodes, kEdges, kGlobals };
+
 struct GnBlockConfig {
   int node_in = 1;
   int edge_in = 1;
@@ -109,6 +129,13 @@ class GnBlock {
   // of a forward over that graph alone.
   GraphVars forward(nn::Tape& tape, const GraphSpec& spec,
                     const GraphVars& in);
+
+  // Tape-free forward(): `out` is bit-identical to forward()'s values.
+  // `in` must not alias `out`.  Throws std::invalid_argument where
+  // forward() does: an unplanned spec, buffer sizes that do not match the
+  // spec and the configured widths, or a sender id out of range.
+  void infer(const GraphSpec& spec, const GraphBuffers& in,
+             GraphBuffers& out) const;
 
   std::vector<nn::Parameter*> parameters();
   std::size_t num_parameters() const;
@@ -138,6 +165,12 @@ class IndependentBlock {
   IndependentBlock(const IndependentConfig& config, util::Rng& rng);
 
   GraphVars forward(nn::Tape& tape, const GraphVars& in);
+
+  // Tape-free forward of one attribute's MLP over `rows` rows of `in`
+  // (which must not alias `out`); bit-identical to that attribute of
+  // forward().
+  void infer(Head head, int rows, const float* in,
+             std::vector<float>& out) const;
 
   std::vector<nn::Parameter*> parameters();
   std::size_t num_parameters() const;
@@ -173,6 +206,15 @@ class EncodeProcessDecode {
   // encoder and decoder are row-independent MLPs.
   GraphVars forward(nn::Tape& tape, const GraphSpec& spec,
                     const GraphVars& in);
+
+  // Tape-free forward() that decodes only `head`: `out` (rows x width,
+  // row-major) is bit-identical to that attribute of forward().  Throws
+  // std::invalid_argument on an unplanned spec, on attribute shapes that
+  // do not match the spec and the configured widths, and on a sender id
+  // out of range.
+  void infer(const GraphSpec& spec, const nn::Tensor& nodes,
+             const nn::Tensor& edges, const nn::Tensor& globals, Head head,
+             std::vector<float>& out) const;
 
   std::vector<nn::Parameter*> parameters();
   std::size_t num_parameters() const;

@@ -29,11 +29,8 @@ void ShadowEvaluator::arm(std::shared_ptr<const core::GnnPolicy> candidate,
                           std::uint64_t version) {
   const util::MutexLock lock(mu_);
   candidate_ = std::move(candidate);
-  // See serve::Engine::process_batch on why this const_cast is sound.
-  router_.emplace(const_cast<core::GnnPolicy*>(candidate_.get()),
-                  config_.router);
-  router_->set_policy(const_cast<core::GnnPolicy*>(candidate_.get()),
-                      version, /*candidate=*/true);
+  router_.emplace(candidate_.get(), config_.router);
+  router_->set_policy(candidate_.get(), version, /*candidate=*/true);
   stats_ = ShadowStats{};
   buckets_.clear();
   latencies_us_.clear();

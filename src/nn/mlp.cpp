@@ -51,6 +51,11 @@ Mlp::Layer Mlp::first_layer(Tape& tape) {
   return Layer{tape.leaf(weights_.front()), tape.leaf(biases_.front())};
 }
 
+Activation Mlp::activation(std::size_t layer) const {
+  return layer + 1 == weights_.size() ? config_.output_activation
+                                      : config_.hidden_activation;
+}
+
 Tape::Var Mlp::forward_from(Tape& tape, Tape::Var pre) {
   if (tape.value(pre).cols() != weights_.front().value.cols()) {
     throw std::invalid_argument("Mlp::forward_from: pre-activation has " +
@@ -58,10 +63,6 @@ Tape::Var Mlp::forward_from(Tape& tape, Tape::Var pre) {
                                 ", expected cols " +
                                 std::to_string(weights_.front().value.cols()));
   }
-  const auto activation = [&](size_t l) {
-    return l + 1 == weights_.size() ? config_.output_activation
-                                    : config_.hidden_activation;
-  };
   Tape::Var h = pre;
   switch (activation(0)) {
     case Activation::kIdentity:
@@ -78,6 +79,53 @@ Tape::Var Mlp::forward_from(Tape& tape, Tape::Var pre) {
                     activation(l));
   }
   return h;
+}
+
+void Mlp::infer_layers(std::size_t first, int rows, const float* h,
+                       std::vector<float>& out) const {
+  // Ping-pong buffers for the hidden layers; the last layer writes `out`.
+  thread_local std::vector<float> ping;
+  thread_local std::vector<float> pong;
+  for (std::size_t l = first; l < weights_.size(); ++l) {
+    const Tensor& w = weights_[l].value;
+    std::vector<float>& y = l + 1 == weights_.size() ? out
+                            : (l - first) % 2 == 0   ? ping
+                                                     : pong;
+    y.resize(static_cast<std::size_t>(rows) *
+             static_cast<std::size_t>(w.cols()));
+    kernels::matmul_nn(rows, w.rows(), w.cols(), h, w.data().data(),
+                       y.data());
+    kernels::bias_act(rows, w.cols(), y.data(), biases_[l].value.data().data(),
+                      y.data(), activation(l));
+    h = y.data();
+  }
+}
+
+void Mlp::infer(int rows, const float* x, std::vector<float>& out) const {
+  infer_layers(0, rows, x, out);
+}
+
+void Mlp::infer_from(int rows, float* pre, std::vector<float>& out) const {
+  // Tape::relu / Tape::tanh, element for element.
+  const std::size_t n = static_cast<std::size_t>(rows) *
+                        static_cast<std::size_t>(weights_.front().value.cols());
+  switch (activation(0)) {
+    case Activation::kIdentity:
+      break;
+    case Activation::kRelu:
+      for (std::size_t i = 0; i < n; ++i) {
+        pre[i] = pre[i] > 0.0F ? pre[i] : 0.0F;
+      }
+      break;
+    case Activation::kTanh:
+      for (std::size_t i = 0; i < n; ++i) pre[i] = std::tanh(pre[i]);
+      break;
+  }
+  if (weights_.size() == 1) {
+    out.assign(pre, pre + n);
+    return;
+  }
+  infer_layers(1, rows, pre, out);
 }
 
 std::vector<Parameter*> Mlp::parameters() {

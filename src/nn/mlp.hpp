@@ -43,6 +43,21 @@ class Mlp {
   Layer first_layer(Tape& tape);
   Tape::Var forward_from(Tape& tape, Tape::Var pre);
 
+  // Tape-free forward of `rows` input rows (x is rows x in, row-major,
+  // and must not alias `out`): per layer kernels::matmul_nn then
+  // kernels::bias_act, as Tape::linear computes it, so `out` (resized to
+  // rows x out) is bit-identical to forward().  Weights are read in
+  // place; intermediate layers use thread-local scratch.
+  void infer(int rows, const float* x, std::vector<float>& out) const;
+  // No-grad forward_from(): `pre` (rows x layer 0's width) is layer 0's
+  // pre-activation, overwritten in place by its activation.
+  void infer_from(int rows, float* pre, std::vector<float>& out) const;
+  // Layer 0's weight (in x width) and bias, read in place by callers
+  // that assemble the pre-activation themselves (the no-grad
+  // first_layer()).
+  const Tensor& first_weight() const { return weights_.front().value; }
+  const Tensor& first_bias() const { return biases_.front().value; }
+
   std::vector<Parameter*> parameters();
   std::size_t num_parameters() const;
 
@@ -50,6 +65,11 @@ class Mlp {
   int output_size() const { return out_; }
 
  private:
+  Activation activation(std::size_t layer) const;
+  // Layers [first, end) of the tape-free forward from h.
+  void infer_layers(std::size_t first, int rows, const float* h,
+                    std::vector<float>& out) const;
+
   int in_;
   int out_;
   MlpConfig config_;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/crc32.hpp"
@@ -50,15 +51,38 @@ void write_tensor(std::ostream& os, const Tensor& t) {
            static_cast<std::streamsize>(data.size() * sizeof(float)));
 }
 
-Tensor read_tensor(std::istream& is, const std::string& field) {
-  const auto rows = read_pod<std::uint32_t>(is, field + ".rows");
-  const auto cols = read_pod<std::uint32_t>(is, field + ".cols");
-  // Guard against absurd shapes from corrupt bytes before allocating.
-  constexpr std::uint64_t kMaxElements = 1ULL << 28;
-  if (static_cast<std::uint64_t>(rows) * cols > kMaxElements) {
-    throw IoError("field '" + field + "' has implausible shape " +
-                  std::to_string(rows) + "x" + std::to_string(cols) +
-                  " (corrupt file?)");
+namespace {
+
+std::string shape_text(std::uint64_t rows, std::uint64_t cols) {
+  return "[" + std::to_string(rows) + "x" + std::to_string(cols) + "]";
+}
+
+// Bytes between the read position and the end of `is`; the maximum value
+// when the stream cannot tell.
+std::uint64_t bytes_left(std::istream& is) {
+  constexpr auto kUnknown = std::numeric_limits<std::uint64_t>::max();
+  const std::istream::pos_type pos = is.tellg();
+  if (pos < 0) return kUnknown;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(pos);
+  if (end < pos) return kUnknown;
+  return static_cast<std::uint64_t>(end - pos);
+}
+
+// Reads the f32 data of a rows x cols tensor.  Corrupt bytes can declare
+// any shape, so the shape is checked against what is left of the stream
+// before anything is allocated.
+Tensor read_tensor_data(std::istream& is, std::uint32_t rows,
+                        std::uint32_t cols, const std::string& field) {
+  const std::uint64_t elements = static_cast<std::uint64_t>(rows) * cols;
+  constexpr auto kMaxDim =
+      static_cast<std::uint32_t>(std::numeric_limits<int>::max());
+  if (rows > kMaxDim || cols > kMaxDim ||
+      elements > bytes_left(is) / sizeof(float)) {
+    throw IoError("field '" + field + "' has shape " +
+                  shape_text(rows, cols) +
+                  ", more data than the file holds (corrupt file?)");
   }
   Tensor t(static_cast<int>(rows), static_cast<int>(cols));
   auto data = t.data();
@@ -66,15 +90,25 @@ Tensor read_tensor(std::istream& is, const std::string& field) {
   return t;
 }
 
+}  // namespace
+
+Tensor read_tensor(std::istream& is, const std::string& field) {
+  const auto rows = read_pod<std::uint32_t>(is, field + ".rows");
+  const auto cols = read_pod<std::uint32_t>(is, field + ".cols");
+  return read_tensor_data(is, rows, cols, field);
+}
+
 Tensor read_tensor_checked(std::istream& is, const Tensor& expected,
                            const std::string& field) {
-  Tensor t = read_tensor(is, field);
-  if (!t.same_shape(expected)) {
+  const auto rows = read_pod<std::uint32_t>(is, field + ".rows");
+  const auto cols = read_pod<std::uint32_t>(is, field + ".cols");
+  if (rows != static_cast<std::uint32_t>(expected.rows()) ||
+      cols != static_cast<std::uint32_t>(expected.cols())) {
     throw IoError("field '" + field + "' shape mismatch (file " +
-                  t.shape_str() + ", destination " + expected.shape_str() +
-                  ")");
+                  shape_text(rows, cols) + ", destination " +
+                  expected.shape_str() + ")");
   }
-  return t;
+  return read_tensor_data(is, rows, cols, field);
 }
 
 // ---- ContainerWriter ----
@@ -140,6 +174,11 @@ ContainerReader::ContainerReader(const std::string& path) : path_(path) {
     const std::string label = "section " + std::to_string(i);
     const auto id = read_pod<std::uint32_t>(is, label + ".id");
     const auto size = read_pod<std::uint64_t>(is, label + ".size");
+    if (size > bytes_left(is)) {
+      throw IoError("truncated " + path + ": " + label + " declares " +
+                    std::to_string(size) + " payload bytes, more than the "
+                    "file holds");
+    }
     std::string payload(static_cast<std::size_t>(size), '\0');
     read_bytes(is, payload.data(), payload.size(), label + ".payload");
     sections_.emplace_back(static_cast<Section>(id), std::move(payload));

@@ -4,51 +4,11 @@
 #include <cmath>
 
 #include "nn/gaussian.hpp"
-#include "nn/tape.hpp"
 
 namespace gddr::rl {
 
-PolicyForward forward_policy(Policy& policy, const Observation& obs) {
-  // One long-lived tape per thread (rollout collectors call this
-  // concurrently): reset() recycles every buffer through the tape's
-  // arena, so steady-state rollout steps allocate nothing.
-  thread_local nn::Tape tape;
-  tape.reset();
-  const int adim = policy.action_dim(obs);
-  const nn::Tape::Var mean = policy.action_mean(tape, obs);
-  const nn::Tape::Var value = policy.value(tape, obs);
-  const nn::Tape::Var log_std = policy.log_std_row(tape, adim);
-  PolicyForward fwd;
-  const nn::Tensor& mv = tape.value(mean);
-  const nn::Tensor& lv = tape.value(log_std);
-  fwd.mean.resize(static_cast<size_t>(mv.cols()));
-  fwd.log_std.resize(static_cast<size_t>(lv.cols()));
-  for (int j = 0; j < mv.cols(); ++j) {
-    fwd.mean[static_cast<size_t>(j)] = mv.at(0, j);
-  }
-  for (int j = 0; j < lv.cols(); ++j) {
-    fwd.log_std[static_cast<size_t>(j)] = lv.at(0, j);
-  }
-  fwd.value = tape.value(value).at(0, 0);
-  return fwd;
-}
-
-std::vector<std::vector<double>> forward_action_means(
-    Policy& policy, const std::vector<const Observation*>& obs) {
-  if (obs.empty()) return {};
-  thread_local nn::Tape tape;
-  tape.reset();
-  nn::Tape::Var stacked;
-  if (!policy.action_means(tape, obs, stacked)) return {};
-  const nn::Tensor& mv = tape.value(stacked);
-  std::vector<std::vector<double>> means(obs.size());
-  for (std::size_t i = 0; i < obs.size(); ++i) {
-    means[i].resize(static_cast<std::size_t>(mv.cols()));
-    for (int j = 0; j < mv.cols(); ++j) {
-      means[i][static_cast<std::size_t>(j)] = mv.at(static_cast<int>(i), j);
-    }
-  }
-  return means;
+PolicyForward forward_policy(const Policy& policy, const Observation& obs) {
+  return policy.infer(obs, Heads::kAll);
 }
 
 double action_log_prob(const std::vector<double>& action,

@@ -1,7 +1,7 @@
 // One-off (no-gradient) policy forward passes, shared by the PPO trainer
-// and the vectorised collector.  A forward builds a private Tape and only
-// reads policy parameters, so concurrent calls on the same policy from
-// different threads are safe.
+// and the vectorised collector.  forward_policy is a thin wrapper over the
+// policy's const, tape-free Policy::infer, so concurrent calls on one
+// policy from different threads are safe.
 #pragma once
 
 #include <vector>
@@ -10,22 +10,10 @@
 
 namespace gddr::rl {
 
-struct PolicyForward {
-  std::vector<double> mean;
-  std::vector<double> log_std;
-  double value = 0.0;
-};
-
-// Evaluates action mean, log-std row and state value for one observation.
-PolicyForward forward_policy(Policy& policy, const Observation& obs);
-
-// Batched no-gradient action means for observations sharing one topology
-// (one stacked GNN forward instead of |obs| separate ones).  Row i is
-// bit-identical to forward_policy(policy, *obs[i]).mean.  Returns an
-// empty vector when the policy has no batched path or the observations
-// do not share connectivity — callers then loop forward_policy.
-std::vector<std::vector<double>> forward_action_means(
-    Policy& policy, const std::vector<const Observation*>& obs);
+// Evaluates action mean, log-std row and state value for one observation
+// (Policy::infer with Heads::kAll); each is bit-identical to the tape's
+// action_mean / log_std_row / value.
+PolicyForward forward_policy(const Policy& policy, const Observation& obs);
 
 // Log-density of `action` under the diagonal Gaussian (mean, exp(log_std)).
 double action_log_prob(const std::vector<double>& action,

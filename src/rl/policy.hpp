@@ -1,20 +1,45 @@
 // Stochastic policy interface for PPO.
 //
-// A policy supplies, for one observation, the on-tape action mean
-// (1 x action_dim), the on-tape state-value estimate (1 x 1), and a
-// log-standard-deviation row for exploration, and the same three for a
-// whole minibatch on one tape (evaluate_batch).  PPO treats the policy as a
-// black box, which is what lets the MLP baseline, the GNN policy and the
-// iterative GNN policy train under the identical algorithm (paper §VIII-C
-// trains all of them with the same PPO2).
+// A policy has two forward paths over the same parameters:
+//
+//  * the tape path, for training: for one observation the on-tape action
+//    mean (1 x action_dim), state value (1 x 1) and log-standard-deviation
+//    row, and the same three for a whole minibatch on one tape
+//    (evaluate_batch, the PPO update's forward).  PPO treats the policy as
+//    a black box, which is what lets the MLP baseline, the GNN policy and
+//    the iterative GNN policy train under the identical algorithm (paper
+//    §VIII-C trains all of them with the same PPO2);
+//  * infer(), for everything that needs no gradient (serving, rollout
+//    collection, evaluation): a const, tape-free forward that computes
+//    only the heads asked for.  It calls the same nn::kernels in the same
+//    order as the tape path, so each output is bit-identical to the
+//    matching action_mean / value / log_std_row, and it makes the same
+//    input checks (std::invalid_argument on a malformed observation).
+//    It reads the parameters in place and writes only thread-local
+//    scratch, so concurrent calls on one policy are safe while nobody
+//    writes the parameters.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "nn/tape.hpp"
 #include "rl/env.hpp"
 
 namespace gddr::rl {
+
+// Output of a no-gradient forward.  Heads that were not asked for stay
+// empty (mean, log_std) or zero (value).
+struct PolicyForward {
+  std::vector<double> mean;
+  std::vector<double> log_std;
+  double value = 0.0;
+};
+
+// Which heads Policy::infer computes: the action mean alone (serving,
+// deterministic evaluation), the state value alone (bootstrap values), or
+// mean, log-std and value (rollout collection).
+enum class Heads { kMean, kValue, kAll };
 
 class Policy {
  public:
@@ -55,16 +80,9 @@ class Policy {
   // Human-readable identifier used in bench output.
   virtual std::string name() const = 0;
 
-  // Batched action means for observations with one action size (the
-  // serving engine's micro-batches): on success fills `out` with a
-  // B x action_dim Var whose row b is bit-identical to
-  // action_mean(tape, *obs[b]).  The default has no batched path and
-  // returns false; callers then fall back to per-observation forwards.
-  virtual bool action_means(nn::Tape& /*tape*/,
-                            const std::vector<const Observation*>& /*obs*/,
-                            nn::Tape::Var& /*out*/) {
-    return false;
-  }
+  // Tape-free forward of `heads` for one observation; see the file
+  // comment.  kAll checks the action size as log_std_row does.
+  virtual PolicyForward infer(const Observation& obs, Heads heads) const = 0;
 };
 
 }  // namespace gddr::rl

@@ -39,8 +39,9 @@ PpoTrainer::PpoTrainer(Policy& policy, std::vector<Env*> envs,
                      collector_.num_envs()),
       health_(params_, config.health, optimizer_) {}
 
-std::vector<double> PpoTrainer::act_deterministic(const Observation& obs) {
-  return forward_policy(policy_, obs).mean;
+std::vector<double> PpoTrainer::act_deterministic(
+    const Observation& obs) const {
+  return policy_.infer(obs, Heads::kMean).mean;
 }
 
 PpoIterationStats PpoTrainer::train_iteration() {

@@ -107,7 +107,7 @@ class PpoTrainer {
   long iterations() const { return iterations_; }
 
   // Deterministic greedy action (the distribution mean) for evaluation.
-  std::vector<double> act_deterministic(const Observation& obs);
+  std::vector<double> act_deterministic(const Observation& obs) const;
 
   // Fault-tolerant checkpointing (implemented in rl/checkpoint.cpp).
   //

@@ -82,7 +82,7 @@ VecEnvCollector::CollectStats VecEnvCollector::collect(
           // instead of zeroing the successor value.
           sample.truncated = true;
           sample.bootstrap_value =
-              forward_policy(policy_, result.obs).value;
+              policy_.infer(result.obs, Heads::kValue).value;
         }
         stats.episode_reward_sum += slot.episode_reward;
         ++stats.episodes;
@@ -99,7 +99,8 @@ VecEnvCollector::CollectStats VecEnvCollector::collect(
     // of the next env in the merged buffer.
     if (!traj.back().done) {
       traj.back().truncated = true;
-      traj.back().bootstrap_value = forward_policy(policy_, slot.obs).value;
+      traj.back().bootstrap_value =
+          policy_.infer(slot.obs, Heads::kValue).value;
     }
     GDDR_ENSURE(traj.back().done || traj.back().truncated,
                 "rl/collect/segment-tail", "env", i);

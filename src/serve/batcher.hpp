@@ -1,10 +1,10 @@
 // Micro-batching stage between the serving queue and a worker's router.
 //
-// GNN policy inference amortises well when same-topology requests share
-// one stacked forward pass (rl::Policy::action_means), so each worker
-// pops its next job and then greedily coalesces up to max_batch further
-// jobs for the same topology that are already queued — it never waits
-// for a batch to fill, so an idle system keeps single-request latency.
+// Each worker pops its next job and then greedily coalesces up to
+// max_batch further jobs for the same topology that are already queued —
+// it never waits for a batch to fill, so an idle system keeps
+// single-request latency.  A batch shares one policy-slot read and one
+// router call (RobustRouter::decide_batch); its forwards are per request.
 // The first differently-keyed job encountered ends the batch and is held
 // back as the seed of the next one (a one-job lookahead slot owned by
 // this batcher, i.e. by one worker).

@@ -31,7 +31,7 @@ bool parse_shed_policy(const std::string& text, ShedPolicy& out) {
   return false;
 }
 
-Engine::Engine(rl::Policy* policy, EngineConfig config)
+Engine::Engine(const rl::Policy* policy, EngineConfig config)
     : config_(std::move(config)),
       cache_(std::make_shared<TopologyCache>(
           config_.router.topology_cache_capacity, config_.router.softmin,
@@ -237,13 +237,7 @@ void Engine::process_batch(RobustRouter& router, std::vector<Job> batch) {
   // is overwritten concurrently; the router never sees a swap mid-batch.
   const PolicyPick pick = pick_policy();
   if (pick.armed) {
-    // The const_cast is sound: rl::Policy's interface is non-const only
-    // because generic policies may build tapes in place, and GnnPolicy's
-    // forwards are logically const and thread-safe (per-thread tapes,
-    // immutable parameters) — the slot's `const` expresses that nobody
-    // may *mutate* the published policy.
-    router.set_policy(const_cast<core::GnnPolicy*>(pick.policy.get()),
-                      pick.version, pick.candidate);
+    router.set_policy(pick.policy.get(), pick.version, pick.candidate);
   }
 
   std::vector<const RouteRequest*> requests;

@@ -8,8 +8,8 @@
 // everyone at once).  Each worker micro-batches: after blocking for its
 // first job it greedily coalesces up to max_batch already-queued
 // same-topology jobs and serves them through RobustRouter::decide_batch,
-// which stacks the GNN forward — decisions stay bit-identical to serving
-// each request alone (see graph_net.hpp on the stacked forward).
+// which decides them one by one under the policy version picked at the
+// batch boundary (forwards are not stacked; see RobustRouter).
 //
 // Admission control never blocks and never drops a future on the floor:
 // submit() always returns a future that resolves, either to a decision
@@ -125,10 +125,9 @@ using DecisionObserver =
 class Engine {
  public:
   // `policy` may be null (workers serve from the static rungs only);
-  // when non-null it must be safe for concurrent read-only forwards
-  // (GnnPolicy is: per-thread tapes, immutable parameters) and outlive
-  // the engine.
-  Engine(rl::Policy* policy, EngineConfig config);
+  // when non-null it must outlive the engine.  Workers share it through
+  // the const Policy::infer, which keeps its scratch thread-local.
+  Engine(const rl::Policy* policy, EngineConfig config);
   ~Engine();
 
   Engine(const Engine&) = delete;

@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "mcf/cache.hpp"
 #include "obs/metrics.hpp"
-#include "rl/forward.hpp"
 #include "rl/health.hpp"
 #include "util/fault.hpp"
 
@@ -114,14 +112,14 @@ void poison_demand(traffic::DemandMatrix& dm) {
 
 }  // namespace
 
-RobustRouter::RobustRouter(rl::Policy* policy, RouterConfig config)
+RobustRouter::RobustRouter(const rl::Policy* policy, RouterConfig config)
     : RobustRouter(policy, config,
                    std::make_shared<TopologyCache>(
                        config.topology_cache_capacity, config.softmin,
                        config.node_feature_scale, config.flat_feature_scale),
                    std::make_shared<CircuitBreaker>(config.breaker)) {}
 
-RobustRouter::RobustRouter(rl::Policy* policy, RouterConfig config,
+RobustRouter::RobustRouter(const rl::Policy* policy, RouterConfig config,
                            std::shared_ptr<TopologyCache> cache,
                            std::shared_ptr<CircuitBreaker> breaker)
     : policy_(policy),
@@ -137,11 +135,8 @@ RobustRouter::RobustRouter(rl::Policy* policy, RouterConfig config,
   (void)probe;
 }
 
-RouteDecision RobustRouter::decide(const RouteRequest& request) {
-  return decide_with_mean(request, nullptr);
-}
-
-void RobustRouter::set_policy(rl::Policy* policy, std::uint64_t version,
+void RobustRouter::set_policy(const rl::Policy* policy,
+                              std::uint64_t version,
                               bool candidate) {
   policy_ = policy;
   policy_version_ = version;
@@ -152,71 +147,21 @@ std::vector<RouteDecision> RobustRouter::decide_batch(
     const std::vector<const RouteRequest*>& requests) {
   std::vector<RouteDecision> decisions;
   decisions.reserve(requests.size());
-
-  // The stacked forward pays off only when rung 1 would actually run for
-  // several same-topology requests; otherwise every request takes the
-  // plain path.
-  bool batchable = policy_ != nullptr && requests.size() > 1 &&
-                   breaker_->state() == BreakerState::kClosed &&
-                   requests.front() != nullptr &&
-                   requests.front()->graph != nullptr;
-  const graph::DiGraph* g = batchable ? requests.front()->graph : nullptr;
-  if (batchable) {
-    const std::uint64_t fp = mcf::graph_fingerprint(*g);
-    for (const RouteRequest* r : requests) {
-      if (r == nullptr || r->graph == nullptr ||
-          (r->graph != g && mcf::graph_fingerprint(*r->graph) != fp)) {
-        batchable = false;
-        break;
-      }
-    }
-  }
-
-  std::vector<std::vector<double>> means;
-  if (batchable) {
-    try {
-      const TopologyCache::EntryPtr entry = cache_->acquire(*g);
-      std::vector<rl::Observation> obs;
-      obs.reserve(requests.size());
-      for (const RouteRequest* r : requests) {
-        obs.push_back(serving_observation(entry->obs_scenario, r->history,
-                                          config_.memory,
-                                          config_.node_features));
-      }
-      std::vector<const rl::Observation*> obs_ptrs;
-      obs_ptrs.reserve(obs.size());
-      for (const rl::Observation& o : obs) obs_ptrs.push_back(&o);
-      means = rl::forward_action_means(*policy_, obs_ptrs);
-      obs::count("serve/batch/forwards");
-    } catch (const std::exception&) {
-      // A failed precompute is not a failed request: every request just
-      // takes the per-request path (which reports its own rung-1 cause).
-      means.clear();
-    }
-  }
-
-  const bool have_means = means.size() == requests.size();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i] == nullptr) {
-      RouteRequest empty;
-      decisions.push_back(decide_with_mean(empty, nullptr));
-      continue;
-    }
-    decisions.push_back(decide_with_mean(
-        *requests[i], have_means ? &means[i] : nullptr));
+  for (const RouteRequest* request : requests) {
+    decisions.push_back(decide(request != nullptr ? *request
+                                                  : RouteRequest{}));
   }
   return decisions;
 }
 
-RouteDecision RobustRouter::decide_with_mean(
-    const RouteRequest& request, const std::vector<double>* mean) {
+RouteDecision RobustRouter::decide(const RouteRequest& request) {
   const Clock::time_point start = Clock::now();
   ++stats_.requests;
   obs::count("serve/requests");
 
   RouteDecision decision;
   try {
-    decision = decide_impl(request, start, mean);
+    decision = decide_impl(request, start);
   } catch (const std::exception&) {
     // decide_impl absorbs every anticipated failure; anything escaping it
     // is itself a fault the serving contract must survive.  Dropping the
@@ -238,8 +183,7 @@ RouteDecision RobustRouter::decide_with_mean(
 }
 
 RouteDecision RobustRouter::decide_impl(const RouteRequest& request,
-                                        Clock::time_point start,
-                                        const std::vector<double>* mean) {
+                                        Clock::time_point start) {
   const DeadlineBudget budget(start, config_.deadline,
                               config_.policy_fraction,
                               config_.translate_fraction);
@@ -298,7 +242,7 @@ RouteDecision RobustRouter::decide_impl(const RouteRequest& request,
       note_failure(decision, Rung::kGnnPolicy, FailureCause::kBreakerOpen);
     } else {
       const FailureCause cause = try_policy_rung(
-          g, *entry, demand, request.history, budget, mean, decision);
+          g, *entry, demand, request.history, budget, decision);
       if (cause == FailureCause::kNone) {
         probe.succeed(Clock::now());
         entry->last_good.offer(decision.routing, config_.lkg_refresh_every);
@@ -362,21 +306,16 @@ FailureCause RobustRouter::try_policy_rung(
     const graph::DiGraph& g, const TopologyEntry& entry,
     const traffic::DemandMatrix& demand,
     const traffic::DemandSequence& history, const DeadlineBudget& budget,
-    const std::vector<double>* precomputed_mean, RouteDecision& decision) {
+    RouteDecision& decision) {
+  // Serving reads only the action mean: no critic, no log-std, no tape.
   std::vector<double> mean;
-  if (precomputed_mean != nullptr) {
-    // Computed by decide_batch's stacked forward — bit-identical to the
-    // per-request forward below, so both paths route identically.
-    mean = *precomputed_mean;
-  } else {
-    try {
-      const rl::Observation obs =
-          serving_observation(entry.obs_scenario, history, config_.memory,
-                              config_.node_features);
-      mean = rl::forward_policy(*policy_, obs).mean;
-    } catch (const std::exception&) {
-      return FailureCause::kPolicyError;
-    }
+  try {
+    const rl::Observation obs =
+        serving_observation(entry.obs_scenario, history, config_.memory,
+                            config_.node_features);
+    mean = policy_->infer(obs, rl::Heads::kMean).mean;
+  } catch (const std::exception&) {
+    return FailureCause::kPolicyError;
   }
   // A staged candidate has its own NaN site so chaos runs can poison
   // *only* the candidate (proving rollback) while the incumbent stays

@@ -169,7 +169,7 @@ class RobustRouter {
   // `policy` may be null (rung 1 permanently unavailable — the router
   // serves purely from the static rungs); when non-null it must outlive
   // the router.  This constructor owns a private cache and breaker.
-  RobustRouter(rl::Policy* policy, RouterConfig config);
+  RobustRouter(const rl::Policy* policy, RouterConfig config);
 
   // Shared-state constructor for engine workers: every worker's router
   // reuses one topology cache (per-topology artifacts built once) and
@@ -177,21 +177,17 @@ class RobustRouter {
   // Both must be non-null; config.breaker / topology_cache_capacity /
   // softmin / feature scales are ignored in favour of the shared
   // instances' own configuration.
-  RobustRouter(rl::Policy* policy, RouterConfig config,
+  RobustRouter(const rl::Policy* policy, RouterConfig config,
                std::shared_ptr<TopologyCache> cache,
                std::shared_ptr<CircuitBreaker> breaker);
 
   // Produces a valid routing decision for the request.  Never throws.
   RouteDecision decide(const RouteRequest& request);
 
-  // Decides a micro-batch of same-topology requests, amortising the GNN
-  // forward: when the policy has a batched path (rl::Policy::
-  // action_means) and rung 1 is live, all action means are computed in
-  // one stacked forward and each request then runs the ordinary ladder
-  // on its own precomputed mean.  Decisions are identical to calling
-  // decide() per request in order (the stacked forward is bit-identical
-  // per row).  Requests that do not share the first request's topology,
-  // or any batch-path miss, fall back to plain decide().  Never throws.
+  // Decides a micro-batch in order, one decide() per request (a null
+  // request decides as an empty one).  Forwards are not stacked: each
+  // request's rung 1 runs the policy's mean-only Policy::infer.  Never
+  // throws.
   std::vector<RouteDecision> decide_batch(
       const std::vector<const RouteRequest*>& requests);
 
@@ -203,7 +199,7 @@ class RobustRouter {
   // `candidate` marks a staged candidate so decisions carry the
   // attribution and NaN injection fires the candidate_nan site instead
   // of policy_nan.
-  void set_policy(rl::Policy* policy, std::uint64_t version,
+  void set_policy(const rl::Policy* policy, std::uint64_t version,
                   bool candidate = false);
   std::uint64_t policy_version() const { return policy_version_; }
 
@@ -215,17 +211,13 @@ class RobustRouter {
  private:
   using Clock = std::chrono::steady_clock;
 
-  RouteDecision decide_with_mean(const RouteRequest& request,
-                                 const std::vector<double>* mean);
   RouteDecision decide_impl(const RouteRequest& request,
-                            Clock::time_point start,
-                            const std::vector<double>* mean);
+                            Clock::time_point start);
   FailureCause try_policy_rung(const graph::DiGraph& g,
                                const TopologyEntry& entry,
                                const traffic::DemandMatrix& demand,
                                const traffic::DemandSequence& history,
                                const DeadlineBudget& budget,
-                               const std::vector<double>* precomputed_mean,
                                RouteDecision& decision);
   bool try_cached_rung(Rung rung, const graph::DiGraph& g,
                        const routing::Routing& routing,
@@ -235,7 +227,7 @@ class RobustRouter {
   void note_failure(RouteDecision& decision, Rung rung, FailureCause cause);
   void export_metrics(const RouteDecision& decision);
 
-  rl::Policy* policy_;
+  const rl::Policy* policy_;
   std::uint64_t policy_version_ = 0;
   bool candidate_ = false;
   RouterConfig config_;

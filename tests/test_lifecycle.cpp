@@ -144,8 +144,7 @@ TEST(ModelRegistry, LoadReturnsThePublishedWeights) {
   core::GnnPolicy original(core::experiment_gnn_config(5), rng);
   const auto g = topo::abilene();
   serve::RobustRouter ref(&original, test_router_config());
-  serve::RobustRouter out(const_cast<core::GnnPolicy*>(loaded.get()),
-                          test_router_config());
+  serve::RobustRouter out(loaded.get(), test_router_config());
   const auto a = ref.decide(make_request(g));
   const auto b = out.decide(make_request(g));
   EXPECT_EQ(a.rung, serve::Rung::kGnnPolicy);

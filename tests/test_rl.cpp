@@ -600,6 +600,9 @@ class PoisonOnceValue final : public Policy {
     return inner_.parameters();
   }
   std::string name() const override { return inner_.name(); }
+  PolicyForward infer(const Observation& obs, Heads heads) const override {
+    return inner_.infer(obs, heads);
+  }
 
  private:
   Policy& inner_;

@@ -27,8 +27,8 @@
 #include "core/policies.hpp"
 #include "core/routing_env.hpp"
 #include "core/scenario.hpp"
+#include "nn/tape.hpp"
 #include "obs/metrics.hpp"
-#include "rl/forward.hpp"
 #include "routing/routing.hpp"
 #include "routing/softmin.hpp"
 #include "serve/breaker.hpp"
@@ -690,7 +690,9 @@ TEST(RobustRouter, ServesTopRungWhenHealthy) {
 // The benchmark's traced stage replay re-runs the policy rung as the
 // two-pass path (softmin_routing, then simulate) and requires
 // RobustRouter::decide's U_max with ==.  The same check here fails ctest
-// before a drift fails the benchmark.
+// before a drift fails the benchmark.  The replay's action mean comes
+// from the tape (GnnPolicy::action_mean), so it also pins serving's
+// tape-free mean-only forward to the training forward, bit for bit.
 TEST(RobustRouter, PolicyRungMatchesTheTwoPassReplayBitForBit) {
   for (const bool ba100 : {false, true}) {
     util::Rng graph_rng(100);
@@ -726,7 +728,10 @@ TEST(RobustRouter, PolicyRungMatchesTheTwoPassReplayBitForBit) {
       const rl::Observation obs = core::RoutingEnv::build_observation(
           entry->obs_scenario, request.history, cfg.memory, cfg.memory,
           cfg.node_features);
-      const std::vector<double> mean = rl::forward_policy(policy, obs).mean;
+      nn::Tape tape;
+      const nn::Tensor& tape_mean = tape.value(policy.action_mean(tape, obs));
+      const std::vector<double> mean(tape_mean.data().begin(),
+                                     tape_mean.data().end());
       const routing::Routing replay = routing::softmin_routing(
           g, routing::weights_from_actions(mean, cfg.min_weight,
                                            cfg.max_weight),
