@@ -21,12 +21,12 @@
 //              and the PPO update's stacked minibatch-64 forward+backward
 //              (Abilene), and times the serving policy's forwards on
 //              SmallRing, Abilene, GeantLike and BA100 (graph seed 100):
-//              tape action_mean against infer(Heads::kMean), and the
-//              three-head forward on the tape against infer(Heads::kAll).
+//              a one-observation evaluate_batch on the tape (all three
+//              heads) against infer(Heads::kMean) and infer(Heads::kAll).
 //              Exits 1 unless every kernel and every forward is
 //              bit-identical and the arena is steady; timings are
 //              reported, never gated.  Writes BENCH_gnn_micro.json
-//              (schema "gddr.bench_gnn_micro.v1": git sha, build type,
+//              (schema "gddr.bench_gnn_micro.v2": git sha, build type,
 //              nproc, reps, median/q1/q3 per row).
 #include <benchmark/benchmark.h>
 
@@ -78,6 +78,8 @@ Scenario tiny_scenario(const std::string& topology) {
   return make_scenario(topo::by_name(topology), p, rng);
 }
 
+// The tape forward of one observation: a one-observation evaluate_batch
+// (action mean, log-std and value).
 void BM_GnnForward(benchmark::State& state, const std::string& topology) {
   const Scenario scenario = tiny_scenario(topology);
   util::Rng prng(2);
@@ -86,10 +88,11 @@ void BM_GnnForward(benchmark::State& state, const std::string& topology) {
   GnnPolicy policy(cfg, prng);
   const auto obs = RoutingEnv::build_observation(
       scenario, scenario.train_sequences[0], 5, 5);
+  const std::vector<const rl::Observation*> one{&obs};
   nn::Tape tape;
   for (auto _ : state) {
     tape.reset();
-    benchmark::DoNotOptimize(policy.action_mean(tape, obs));
+    benchmark::DoNotOptimize(policy.evaluate_batch(tape, one));
   }
   state.SetLabel(topology + " params=" +
                  std::to_string(policy.num_parameters()));
@@ -119,11 +122,12 @@ void BM_GnnForwardBackward(benchmark::State& state,
   const auto params = policy.parameters();
   const auto obs = RoutingEnv::build_observation(
       scenario, scenario.train_sequences[0], 5, 5);
+  const std::vector<const rl::Observation*> one{&obs};
   nn::Tape tape;
   for (auto _ : state) {
     tape.reset();
-    const auto mean = policy.action_mean(tape, obs);
-    const auto loss = tape.mean_all(tape.square(mean));
+    const auto means = policy.evaluate_batch(tape, one).means;
+    const auto loss = tape.mean_all(tape.square(means));
     nn::zero_grads(params);
     tape.backward(loss);
   }
@@ -138,10 +142,11 @@ void BM_MlpForward(benchmark::State& state, const std::string& topology) {
                    prng);
   const auto obs = RoutingEnv::build_observation(
       scenario, scenario.train_sequences[0], 5, 5);
+  const std::vector<const rl::Observation*> one{&obs};
   nn::Tape tape;
   for (auto _ : state) {
     tape.reset();
-    benchmark::DoNotOptimize(policy.action_mean(tape, obs));
+    benchmark::DoNotOptimize(policy.evaluate_batch(tape, one));
   }
   state.SetLabel(topology + " params=" +
                  std::to_string(policy.num_parameters()));
@@ -367,21 +372,18 @@ std::string hot_loop_json(const char* name, const char* topology,
   return head + quartiles_json("us_per_iter", h.us_per_iter) + tail;
 }
 
-// The three-head no-gradient forward on a long-lived tape (reset per
-// call): the reference infer(Heads::kAll) is timed and diffed against.
-rl::PolicyForward tape_forward_policy(rl::Policy& policy, nn::Tape& tape,
-                                      const rl::Observation& obs) {
+// A one-observation evaluate_batch on a long-lived tape (reset per call):
+// the reference infer() is timed and diffed against.
+rl::PolicyForward tape_evaluate_one(rl::Policy& policy, nn::Tape& tape,
+                                    const rl::Observation& obs) {
   tape.reset();
-  const int adim = policy.action_dim(obs);
-  const nn::Tape::Var mean = policy.action_mean(tape, obs);
-  const nn::Tape::Var value = policy.value(tape, obs);
-  const nn::Tape::Var log_std = policy.log_std_row(tape, adim);
+  const rl::Policy::BatchEvaluation eval = policy.evaluate_batch(tape, {&obs});
   rl::PolicyForward fwd;
-  const auto mv = tape.value(mean).data();
-  const auto lv = tape.value(log_std).data();
+  const auto mv = tape.value(eval.means).data();
+  const auto lv = tape.value(eval.log_std).data();
   fwd.mean.assign(mv.begin(), mv.end());
   fwd.log_std.assign(lv.begin(), lv.end());
-  fwd.value = tape.value(value).at(0, 0);
+  fwd.value = tape.value(eval.values).at(0, 0);
   return fwd;
 }
 
@@ -404,9 +406,8 @@ struct InferRow {
   int calls_per_rep = 0;
   bool mean_bit_identical = false;
   bool all_bit_identical = false;
-  Quartiles tape_mean_us;            // GnnPolicy::action_mean on the tape
+  Quartiles tape_evaluate_batch_us;  // one-observation evaluate_batch
   Quartiles infer_mean_us;           // infer(Heads::kMean)
-  Quartiles tape_forward_policy_us;  // mean + value + log-std on the tape
   Quartiles infer_all_us;            // infer(Heads::kAll)
 };
 
@@ -422,27 +423,17 @@ InferRow measure_infer(const std::string& name, const Scenario& scenario,
   row.graph = name;
   row.nodes = scenario.graph.num_nodes();
   row.edges = scenario.graph.num_edges();
-  {
-    tape.reset();
-    const nn::Tensor& mean = tape.value(policy.action_mean(tape, obs));
-    const std::vector<double> tape_mean(mean.data().begin(),
-                                        mean.data().end());
-    row.mean_bit_identical =
-        same_bits(tape_mean, policy.infer(obs, rl::Heads::kMean).mean);
-    row.all_bit_identical =
-        same_bits(tape_forward_policy(policy, tape, obs),
-                  policy.infer(obs, rl::Heads::kAll));
-  }
+  const rl::PolicyForward reference = tape_evaluate_one(policy, tape, obs);
+  row.mean_bit_identical =
+      same_bits(reference.mean, policy.infer(obs, rl::Heads::kMean).mean);
+  row.all_bit_identical =
+      same_bits(reference, policy.infer(obs, rl::Heads::kAll));
 
-  const auto tape_mean = [&] {
-    tape.reset();
-    sink += tape.value(policy.action_mean(tape, obs)).at(0, 0);
+  const auto tape_all = [&] {
+    sink += tape_evaluate_one(policy, tape, obs).value;
   };
   const auto infer_mean = [&] {
     sink += policy.infer(obs, rl::Heads::kMean).mean.front();
-  };
-  const auto tape_all = [&] {
-    sink += tape_forward_policy(policy, tape, obs).value;
   };
   const auto infer_all = [&] {
     sink += policy.infer(obs, rl::Heads::kAll).value;
@@ -453,32 +444,28 @@ InferRow measure_infer(const std::string& name, const Scenario& scenario,
   const double once = time_us(1, tape_all);
   row.calls_per_rep =
       std::clamp(static_cast<int>(std::ceil(5000.0 / once)), 1, 2000);
-  std::vector<double> us[4];
+  std::vector<double> us[3];
   for (int rep = 0; rep < reps; ++rep) {
     // Rotate which path goes first so drift does not favour one.
-    for (int k = 0; k < 4; ++k) {
-      const int path = (rep + k) % 4;
+    for (int k = 0; k < 3; ++k) {
+      const int path = (rep + k) % 3;
       const int calls = row.calls_per_rep;
       switch (path) {
         case 0:
-          us[0].push_back(time_us(calls, tape_mean));
+          us[0].push_back(time_us(calls, tape_all));
           break;
         case 1:
           us[1].push_back(time_us(calls, infer_mean));
           break;
-        case 2:
-          us[2].push_back(time_us(calls, tape_all));
-          break;
         default:
-          us[3].push_back(time_us(calls, infer_all));
+          us[2].push_back(time_us(calls, infer_all));
           break;
       }
     }
   }
-  row.tape_mean_us = quartiles(us[0]);
+  row.tape_evaluate_batch_us = quartiles(us[0]);
   row.infer_mean_us = quartiles(us[1]);
-  row.tape_forward_policy_us = quartiles(us[2]);
-  row.infer_all_us = quartiles(us[3]);
+  row.infer_all_us = quartiles(us[2]);
   return row;
 }
 
@@ -493,14 +480,14 @@ std::string infer_row_json(const InferRow& r) {
                 r.all_bit_identical ? "true" : "false");
   char ratios[160];
   std::snprintf(ratios, sizeof(ratios),
-                ", \"infer_mean_over_tape_mean\": %.3f, "
-                "\"infer_mean_over_tape_forward_policy\": %.3f}",
-                r.infer_mean_us.median / r.tape_mean_us.median,
-                r.infer_mean_us.median / r.tape_forward_policy_us.median);
-  return head + quartiles_json("tape_action_mean_us", r.tape_mean_us) +
+                ", \"infer_mean_over_tape_evaluate_batch\": %.3f, "
+                "\"infer_all_over_tape_evaluate_batch\": %.3f}",
+                r.infer_mean_us.median / r.tape_evaluate_batch_us.median,
+                r.infer_all_us.median / r.tape_evaluate_batch_us.median);
+  return head +
+         quartiles_json("tape_evaluate_batch_us", r.tape_evaluate_batch_us) +
          ", " + quartiles_json("infer_mean_us", r.infer_mean_us) + ", " +
-         quartiles_json("tape_forward_policy_us", r.tape_forward_policy_us) +
-         ", " + quartiles_json("infer_all_us", r.infer_all_us) + ratios;
+         quartiles_json("infer_all_us", r.infer_all_us) + ratios;
 }
 
 // Timed repetitions per row; each row also reports its quartiles.
@@ -523,11 +510,12 @@ int run_json_smoke() {
   const Scenario geant = tiny_scenario("GeantLike");
   const auto obs = RoutingEnv::build_observation(
       geant, geant.train_sequences[0], 5, 5);
+  const std::vector<const rl::Observation*> one{&obs};
   nn::Tape tape;
   const HotLoop single = run_hot_loop(tape, 10, kReps, 7, [&] {
     tape.reset();
-    const auto mean = policy.action_mean(tape, obs);
-    const auto loss = tape.mean_all(tape.square(mean));
+    const auto means = policy.evaluate_batch(tape, one).means;
+    const auto loss = tape.mean_all(tape.square(means));
     nn::zero_grads(params);
     tape.backward(loss);
   });
@@ -573,9 +561,9 @@ int run_json_smoke() {
   double sink = 0.0;
   std::vector<InferRow> rows;
   bool bits_ok = true;
-  std::printf("%-10s %5s %5s %6s %19s %19s %19s %19s %s\n", "graph",
-              "nodes", "edges", "calls", "tape mean us", "infer(mean) us",
-              "tape fwd_policy us", "infer(all) us", "bits");
+  std::printf("%-10s %5s %5s %6s %19s %19s %19s %s\n", "graph", "nodes",
+              "edges", "calls", "tape eval(1) us", "infer(mean) us",
+              "infer(all) us", "bits");
   for (const auto& [name, scenario] : graphs) {
     rows.push_back(measure_infer(name, scenario, kReps, sink));
     const InferRow& r = rows.back();
@@ -583,12 +571,11 @@ int run_json_smoke() {
     bits_ok = bits_ok && identical;
     std::printf(
         "%-10s %5d %5d %6d %8.1f (%4.0f-%4.0f) %8.1f (%4.0f-%4.0f) "
-        "%8.1f (%4.0f-%4.0f) %8.1f (%4.0f-%4.0f) %s\n",
+        "%8.1f (%4.0f-%4.0f) %s\n",
         r.graph.c_str(), r.nodes, r.edges, r.calls_per_rep,
-        r.tape_mean_us.median, r.tape_mean_us.q1, r.tape_mean_us.q3,
-        r.infer_mean_us.median, r.infer_mean_us.q1, r.infer_mean_us.q3,
-        r.tape_forward_policy_us.median, r.tape_forward_policy_us.q1,
-        r.tape_forward_policy_us.q3, r.infer_all_us.median,
+        r.tape_evaluate_batch_us.median, r.tape_evaluate_batch_us.q1,
+        r.tape_evaluate_batch_us.q3, r.infer_mean_us.median,
+        r.infer_mean_us.q1, r.infer_mean_us.q3, r.infer_all_us.median,
         r.infer_all_us.q1, r.infer_all_us.q3,
         identical ? "identical" : "DIFFER");
   }
@@ -596,7 +583,7 @@ int run_json_smoke() {
 
   const bool arena_ok = single.steady() && minibatch.steady();
   const bool ok = kernels_ok && arena_ok && bits_ok;
-  std::string json = "{\n  \"schema\": \"gddr.bench_gnn_micro.v1\",\n";
+  std::string json = "{\n  \"schema\": \"gddr.bench_gnn_micro.v2\",\n";
   json += "  \"git_sha\": \"" GDDR_GIT_SHA "\",\n";
   json += "  \"build_type\": \"" GDDR_BUILD_TYPE "\",\n";
   json += "  \"nproc\": " +

@@ -26,12 +26,6 @@ nn::MlpConfig mlp_config(const std::vector<int>& hidden, double output_scale) {
   return cfg;
 }
 
-// Assembles the on-tape graph attributes from an observation.
-GraphVars graph_vars_from(Tape& tape, const rl::Observation& obs) {
-  return GraphVars{tape.constant(obs.nodes), tape.constant(obs.edges),
-                   tape.constant(obs.globals)};
-}
-
 std::size_t spec_hash(const rl::Observation& obs) {
   // FNV-1a over the connectivity ints; collisions are resolved by the
   // full equality check in cached_spec.
@@ -182,21 +176,6 @@ Tape::Var MlpPolicy::flat_rows(Tape& tape,
   });
 }
 
-Tape::Var MlpPolicy::action_mean(Tape& tape, const rl::Observation& obs) {
-  return pi_.forward(tape, flat_rows(tape, {&obs}));
-}
-
-Tape::Var MlpPolicy::value(Tape& tape, const rl::Observation& obs) {
-  return vf_.forward(tape, flat_rows(tape, {&obs}));
-}
-
-Tape::Var MlpPolicy::log_std_row(Tape& tape, int adim) {
-  if (adim != action_dim_) {
-    throw std::invalid_argument("MlpPolicy: action dim mismatch");
-  }
-  return tape.leaf(log_std_);
-}
-
 rl::Policy::BatchEvaluation MlpPolicy::evaluate_batch(
     Tape& tape, const std::vector<const rl::Observation*>& obs) {
   const int batch = static_cast<int>(obs.size());
@@ -280,23 +259,6 @@ int GnnPolicy::action_dim(const rl::Observation& obs) const {
   return static_cast<int>(obs.senders.size());
 }
 
-Tape::Var GnnPolicy::action_mean(Tape& tape, const rl::Observation& obs) {
-  const auto spec = cached_spec(obs);
-  const GraphVars out = pi_.forward(tape, *spec, graph_vars_from(tape, obs));
-  // Decoded edge attributes (E x 1) -> action row (1 x E).
-  return tape.reshape(out.edges, 1, spec->num_edges());
-}
-
-Tape::Var GnnPolicy::value(Tape& tape, const rl::Observation& obs) {
-  const auto spec = cached_spec(obs);
-  const GraphVars out = vf_.forward(tape, *spec, graph_vars_from(tape, obs));
-  return out.globals;  // 1 x 1
-}
-
-Tape::Var GnnPolicy::log_std_row(Tape& tape, int adim) {
-  return tape.broadcast_cols(tape.leaf(log_std_scalar_), adim);
-}
-
 rl::Policy::BatchEvaluation GnnPolicy::evaluate_batch(
     Tape& tape, const std::vector<const rl::Observation*>& obs) {
   const GraphSpec spec = union_spec(obs);
@@ -371,26 +333,6 @@ IterativeGnnPolicy::IterativeGnnPolicy(const IterativeGnnPolicyConfig& config,
       pi_(iter_pi_config(config), rng),
       vf_(iter_vf_config(config), rng),
       log_std_(Tensor(1, 2, static_cast<float>(config.init_log_std))) {}
-
-Tape::Var IterativeGnnPolicy::action_mean(Tape& tape,
-                                          const rl::Observation& obs) {
-  const auto spec = cached_spec(obs);
-  const GraphVars out = pi_.forward(tape, *spec, graph_vars_from(tape, obs));
-  return out.globals;
-}
-
-Tape::Var IterativeGnnPolicy::value(Tape& tape, const rl::Observation& obs) {
-  const auto spec = cached_spec(obs);
-  const GraphVars out = vf_.forward(tape, *spec, graph_vars_from(tape, obs));
-  return out.globals;
-}
-
-Tape::Var IterativeGnnPolicy::log_std_row(Tape& tape, int adim) {
-  if (adim != 2) {
-    throw std::invalid_argument("IterativeGnnPolicy: action dim must be 2");
-  }
-  return tape.leaf(log_std_);
-}
 
 rl::Policy::BatchEvaluation IterativeGnnPolicy::evaluate_batch(
     Tape& tape, const std::vector<const rl::Observation*>& obs) {

@@ -40,10 +40,6 @@ class MlpPolicy final : public rl::Policy {
             util::Rng& rng);
 
   int action_dim(const rl::Observation& obs) const override;
-  nn::Tape::Var action_mean(nn::Tape& tape,
-                            const rl::Observation& obs) override;
-  nn::Tape::Var value(nn::Tape& tape, const rl::Observation& obs) override;
-  nn::Tape::Var log_std_row(nn::Tape& tape, int action_dim) override;
   BatchEvaluation evaluate_batch(
       nn::Tape& tape, const std::vector<const rl::Observation*>& obs) override;
   std::vector<nn::Parameter*> parameters() override;
@@ -83,10 +79,6 @@ class GnnPolicy final : public rl::Policy {
   GnnPolicy(const GnnPolicyConfig& config, util::Rng& rng);
 
   int action_dim(const rl::Observation& obs) const override;
-  nn::Tape::Var action_mean(nn::Tape& tape,
-                            const rl::Observation& obs) override;
-  nn::Tape::Var value(nn::Tape& tape, const rl::Observation& obs) override;
-  nn::Tape::Var log_std_row(nn::Tape& tape, int action_dim) override;
   BatchEvaluation evaluate_batch(
       nn::Tape& tape, const std::vector<const rl::Observation*>& obs) override;
   std::vector<nn::Parameter*> parameters() override;
@@ -117,10 +109,6 @@ class IterativeGnnPolicy final : public rl::Policy {
   IterativeGnnPolicy(const IterativeGnnPolicyConfig& config, util::Rng& rng);
 
   int action_dim(const rl::Observation& /*obs*/) const override { return 2; }
-  nn::Tape::Var action_mean(nn::Tape& tape,
-                            const rl::Observation& obs) override;
-  nn::Tape::Var value(nn::Tape& tape, const rl::Observation& obs) override;
-  nn::Tape::Var log_std_row(nn::Tape& tape, int action_dim) override;
   BatchEvaluation evaluate_batch(
       nn::Tape& tape, const std::vector<const rl::Observation*>& obs) override;
   std::vector<nn::Parameter*> parameters() override;

@@ -5,11 +5,12 @@
 
 namespace gddr::graph {
 
-DiGraph::DiGraph(int num_nodes, std::string name)
-    : out_edges_(static_cast<size_t>(num_nodes)),
-      in_edges_(static_cast<size_t>(num_nodes)),
-      name_(std::move(name)) {
+DiGraph::DiGraph(int num_nodes, std::string name) : name_(std::move(name)) {
+  // Checked before sizing: a negative count cast to size_t would make
+  // the vectors throw std::length_error instead.
   if (num_nodes < 0) throw std::invalid_argument("negative node count");
+  out_edges_.resize(static_cast<size_t>(num_nodes));
+  in_edges_.resize(static_cast<size_t>(num_nodes));
 }
 
 NodeId DiGraph::add_node() {

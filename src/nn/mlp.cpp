@@ -6,7 +6,7 @@
 namespace gddr::nn {
 
 Mlp::Mlp(int in, int out, const MlpConfig& config, util::Rng& rng)
-    : in_(in), out_(out), config_(config) {
+    : in_(in), config_(config) {
   if (in <= 0 || out <= 0) throw std::invalid_argument("Mlp: bad sizes");
   for (int h : config.hidden) {
     if (h <= 0) throw std::invalid_argument("Mlp: bad hidden size");

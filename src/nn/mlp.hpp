@@ -61,9 +61,6 @@ class Mlp {
   std::vector<Parameter*> parameters();
   std::size_t num_parameters() const;
 
-  int input_size() const { return in_; }
-  int output_size() const { return out_; }
-
  private:
   Activation activation(std::size_t layer) const;
   // Layers [first, end) of the tape-free forward from h.
@@ -71,7 +68,6 @@ class Mlp {
                     std::vector<float>& out) const;
 
   int in_;
-  int out_;
   MlpConfig config_;
   std::vector<Parameter> weights_;
   std::vector<Parameter> biases_;

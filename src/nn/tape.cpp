@@ -312,28 +312,6 @@ Tape::Var Tape::broadcast_rows(Var rowvec, int n) {
   });
 }
 
-Tape::Var Tape::broadcast_cols(Var colvec, int n) {
-  check_var(colvec, "broadcast_cols");
-  const Tensor& cv = node(colvec).value;
-  if (cv.cols() != 1) {
-    throw std::invalid_argument("broadcast_cols: input must be Nx1, got " +
-                                cv.shape_str());
-  }
-  if (n <= 0) throw std::invalid_argument("broadcast_cols: n <= 0");
-  Tensor out = alloc(cv.rows(), n);
-  for (int i = 0; i < cv.rows(); ++i) {
-    for (int j = 0; j < n; ++j) out.at(i, j) = cv.at(i, 0);
-  }
-  const int ic = colvec.id;
-  return push(std::move(out), [ic](Tape& t, int self) {
-    const Tensor& g = t.grad_of(self);
-    Tensor& gc = t.grad_of(ic);
-    for (int i = 0; i < g.rows(); ++i) {
-      for (int j = 0; j < g.cols(); ++j) gc.at(i, 0) += g.at(i, j);
-    }
-  });
-}
-
 Tape::Var Tape::reshape(Var x, int rows, int cols) {
   check_var(x, "reshape");
   const Tensor& xv = node(x).value;

@@ -55,7 +55,6 @@ class Tape {
   // count.  The pool must not be one whose workers run this tape's
   // forward/backward (a worker waiting on its own queue would deadlock).
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* thread_pool() const { return pool_; }
 
   // Drops all nodes and recycles every value/grad buffer into the arena.
   // Vars from before the reset are invalidated.
@@ -97,8 +96,6 @@ class Tape {
   Var add_bias(Var m, Var bias);
   // 1xC -> NxC by repetition (backward sums over rows).
   Var broadcast_rows(Var rowvec, int n);
-  // Nx1 -> NxC by repetition (backward sums over cols).
-  Var broadcast_cols(Var colvec, int n);
   // Same element count, new shape; data order preserved (row-major).
   Var reshape(Var x, int rows, int cols);
   Var concat_cols(Var a, Var b);

@@ -11,8 +11,8 @@
 namespace gddr::rl {
 
 // Evaluates action mean, log-std row and state value for one observation
-// (Policy::infer with Heads::kAll); each is bit-identical to the tape's
-// action_mean / log_std_row / value.
+// (Policy::infer with Heads::kAll); each is bit-identical to the rows of a
+// one-observation Policy::evaluate_batch.
 PolicyForward forward_policy(const Policy& policy, const Observation& obs);
 
 // Log-density of `action` under the diagonal Gaussian (mean, exp(log_std)).

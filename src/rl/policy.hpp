@@ -2,22 +2,22 @@
 //
 // A policy has two forward paths over the same parameters:
 //
-//  * the tape path, for training: for one observation the on-tape action
-//    mean (1 x action_dim), state value (1 x 1) and log-standard-deviation
-//    row, and the same three for a whole minibatch on one tape
-//    (evaluate_batch, the PPO update's forward).  PPO treats the policy as
-//    a black box, which is what lets the MLP baseline, the GNN policy and
-//    the iterative GNN policy train under the identical algorithm (paper
-//    §VIII-C trains all of them with the same PPO2);
+//  * evaluate_batch(), for training: the action mean, log-std and state
+//    value of a whole minibatch on one tape (the PPO update's forward).
+//    PPO treats the policy as a black box, which is what lets the MLP
+//    baseline, the GNN policy and the iterative GNN policy train under the
+//    identical algorithm (paper §VIII-C trains all of them with the same
+//    PPO2);
 //  * infer(), for everything that needs no gradient (serving, rollout
-//    collection, evaluation): a const, tape-free forward that computes
-//    only the heads asked for.  It calls the same nn::kernels in the same
-//    order as the tape path, so each output is bit-identical to the
-//    matching action_mean / value / log_std_row, and it makes the same
-//    input checks (std::invalid_argument on a malformed observation).
-//    It reads the parameters in place and writes only thread-local
-//    scratch, so concurrent calls on one policy are safe while nobody
-//    writes the parameters.
+//    collection, evaluation): a const, tape-free forward of one
+//    observation that computes only the heads asked for.  It calls the
+//    same nn::kernels in the same order as the tape path, so each output
+//    is bit-identical to the matching rows of evaluate_batch (a
+//    one-observation batch is the reference), and it makes the same input
+//    checks (std::invalid_argument on a malformed observation).  It reads
+//    the parameters in place and writes only thread-local scratch, so
+//    concurrent calls on one policy are safe while nobody writes the
+//    parameters.
 #pragma once
 
 #include <string>
@@ -48,24 +48,13 @@ class Policy {
   // Action dimensionality for this observation.
   virtual int action_dim(const Observation& obs) const = 0;
 
-  // Mean of the Gaussian action distribution, a 1 x action_dim Var.
-  virtual nn::Tape::Var action_mean(nn::Tape& tape,
-                                    const Observation& obs) = 0;
-
-  // State-value estimate, a 1 x 1 Var.
-  virtual nn::Tape::Var value(nn::Tape& tape, const Observation& obs) = 0;
-
-  // Log-std row (1 x action_dim) for the exploration Gaussian.  Policies
-  // with a variable action dimension share a single scalar log-std across
-  // dimensions so the parameter count stays topology-independent.
-  virtual nn::Tape::Var log_std_row(nn::Tape& tape, int action_dim) = 0;
-
   // Stacked evaluation of a non-empty minibatch on one tape (the PPO
   // update's forward).  Action elements are laid out one per row,
   // sample-major: sample b's action_dim(*obs[b]) elements are contiguous
   // rows, in order, so observations of different topologies and action
-  // sizes batch together.  Each row is bit-identical to the matching entry of the
-  // per-observation action_mean / log_std_row / value.
+  // sizes batch together.  Policies with a variable action dimension share
+  // one scalar log-std across elements, so the parameter count stays
+  // topology-independent.
   struct BatchEvaluation {
     nn::Tape::Var means;    // R x 1, R = sum of the samples' action dims
     nn::Tape::Var log_std;  // R x 1, the log-std entry of each element
@@ -81,7 +70,7 @@ class Policy {
   virtual std::string name() const = 0;
 
   // Tape-free forward of `heads` for one observation; see the file
-  // comment.  kAll checks the action size as log_std_row does.
+  // comment.  kAll checks the action size as evaluate_batch does.
   virtual PolicyForward infer(const Observation& obs, Heads heads) const = 0;
 };
 

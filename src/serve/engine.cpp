@@ -6,10 +6,31 @@
 #include <string>
 #include <utility>
 
-#include "mcf/cache.hpp"
 #include "obs/metrics.hpp"
 
 namespace gddr::serve {
+
+namespace {
+
+// The next job (blocking for it when `wait`), plus up to max_batch - 1
+// jobs already queued behind it: a batch never waits to fill, so an idle
+// engine keeps single-request latency.  Empty when the queue is empty
+// (!wait) or closed and drained (wait), the worker's exit signal.
+std::vector<Job> next_batch(util::MpmcQueue<Job>& queue, int max_batch,
+                            bool wait) {
+  std::vector<Job> batch;
+  Job first;
+  if (!(wait ? queue.pop(first) : queue.try_pop(first))) return batch;
+  batch.push_back(std::move(first));
+  while (static_cast<int>(batch.size()) < max_batch) {
+    Job next;
+    if (!queue.try_pop(next)) break;
+    batch.push_back(std::move(next));
+  }
+  return batch;
+}
+
+}  // namespace
 
 const char* shed_policy_name(ShedPolicy policy) {
   switch (policy) {
@@ -54,15 +75,11 @@ Engine::Engine(const rl::Policy* policy, EngineConfig config)
     routers_.push_back(std::make_unique<RobustRouter>(policy, config_.router,
                                                       cache_, breaker_));
   }
-  if (config_.workers == 0) {
-    // Constructor: no concurrent access yet, lifecycle_mu_ not needed
-    // (and clang's analysis exempts constructors for the same reason).
-    inline_batcher_.emplace(queue_, config_.max_batch);
-  } else {
-    threads_.reserve(static_cast<std::size_t>(config_.workers));
-    for (int i = 0; i < config_.workers; ++i) {
-      threads_.emplace_back([this, i] { worker_loop(i); });
-    }
+  // Constructor: no concurrent access yet, lifecycle_mu_ not needed (and
+  // clang's analysis exempts constructors for the same reason).
+  threads_.reserve(static_cast<std::size_t>(config_.workers));
+  for (int i = 0; i < config_.workers; ++i) {
+    threads_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
@@ -71,8 +88,6 @@ Engine::~Engine() { shutdown(); }
 std::future<ServeOutcome> Engine::submit(RouteRequest request) {
   Job job;
   job.request = std::move(request);
-  job.topology =
-      job.request.graph ? mcf::graph_fingerprint(*job.request.graph) : 0;
   job.enqueued = Clock::now();
   job.deadline = config_.queue_deadline.count() > 0
                      ? job.enqueued + config_.queue_deadline
@@ -201,10 +216,10 @@ EngineStats Engine::stats() const {
 }
 
 void Engine::worker_loop(int index) {
-  Batcher batcher(queue_, config_.max_batch);
   RobustRouter& router = *routers_[static_cast<std::size_t>(index)];
   for (;;) {
-    std::vector<Job> batch = batcher.next_batch();
+    std::vector<Job> batch =
+        next_batch(queue_, config_.max_batch, /*wait=*/true);
     if (batch.empty()) return;  // closed and drained
     process_batch(router, std::move(batch));
   }
@@ -212,7 +227,8 @@ void Engine::worker_loop(int index) {
 
 void Engine::drain_inline() {
   for (;;) {
-    std::vector<Job> batch = inline_batcher_->next_ready_batch();
+    std::vector<Job> batch =
+        next_batch(queue_, config_.max_batch, /*wait=*/false);
     if (batch.empty()) return;
     process_batch(*routers_[0], std::move(batch));
   }
@@ -240,10 +256,9 @@ void Engine::process_batch(RobustRouter& router, std::vector<Job> batch) {
     router.set_policy(pick.policy.get(), pick.version, pick.candidate);
   }
 
-  std::vector<const RouteRequest*> requests;
-  requests.reserve(live.size());
-  for (const Job* job : live) requests.push_back(&job->request);
-  std::vector<RouteDecision> decisions = router.decide_batch(requests);
+  std::vector<RouteDecision> decisions;
+  decisions.reserve(live.size());
+  for (const Job* job : live) decisions.push_back(router.decide(job->request));
 
   batches_.fetch_add(1, std::memory_order_relaxed);
   obs::observe("serve/engine/batch_size", static_cast<double>(live.size()));

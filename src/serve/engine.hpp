@@ -5,11 +5,11 @@
 // threads, each owning its own RobustRouter but all sharing one
 // thread-safe TopologyCache (per-topology artifacts built once for the
 // fleet) and one thread-safe CircuitBreaker (a failing policy trips for
-// everyone at once).  Each worker micro-batches: after blocking for its
-// first job it greedily coalesces up to max_batch already-queued
-// same-topology jobs and serves them through RobustRouter::decide_batch,
-// which decides them one by one under the policy version picked at the
-// batch boundary (forwards are not stacked; see RobustRouter).
+// everyone at once).  Each worker micro-batches: it blocks for its next
+// job, takes up to max_batch - 1 further jobs already queued behind it
+// (any topology; it never waits for a batch to fill), and decides them
+// one by one through RobustRouter::decide under the policy version picked
+// at the batch boundary.
 //
 // Admission control never blocks and never drops a future on the floor:
 // submit() always returns a future that resolves, either to a decision
@@ -55,12 +55,10 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/policies.hpp"
-#include "serve/batcher.hpp"
 #include "serve/router.hpp"
 #include "util/mpmc_queue.hpp"
 #include "util/sync.hpp"
@@ -92,11 +90,27 @@ struct EngineConfig {
   RouterConfig router;
 };
 
+// What a submitted request resolves to: either a decision or the shed
+// flag (admission control dropped the request before a router saw it).
+struct ServeOutcome {
+  bool shed = false;
+  RouteDecision decision;
+};
+
+// One queued request plus its engine-side bookkeeping.
+struct Job {
+  RouteRequest request;
+  std::chrono::steady_clock::time_point enqueued{};
+  // Queueing deadline; jobs past it are shed, never served late.
+  std::chrono::steady_clock::time_point deadline{};
+  std::promise<ServeOutcome> promise;
+};
+
 struct EngineStats {
   long offered = 0;  // submit() calls
   long shed = 0;     // resolved with shed=true
   long served = 0;   // resolved with a decision
-  long batches = 0;  // decide_batch invocations (any size)
+  long batches = 0;  // micro-batches that reached a router (any size)
 };
 
 // One served (non-shed) decision as seen by the lifecycle layer: enough
@@ -218,13 +232,10 @@ class Engine {
   util::MpmcQueue<Job> queue_;
   // Serialises lifecycle transitions and inline-mode serving: poll(),
   // shutdown() and router_stats() may race (two threads polling an
-  // inline engine would both drain inline_batcher_; a stats poll during
-  // shutdown would read router_stats_ mid-aggregation).  Outermost rank:
-  // drain_inline touches the queue, caches and breaker under it.
+  // inline engine would both drive the one inline router; a stats poll
+  // during shutdown would read router_stats_ mid-aggregation).  Outermost
+  // rank: drain_inline touches the queue, caches and breaker under it.
   mutable util::Mutex lifecycle_mu_{util::LockRank::kEngine, "serve/engine"};
-  // Inline mode only: persistent so a held-back lookahead job (see
-  // Batcher::pending_) survives across submit() calls.
-  std::optional<Batcher> inline_batcher_ GDDR_GUARDED_BY(lifecycle_mu_);
   std::vector<std::thread> threads_ GDDR_GUARDED_BY(lifecycle_mu_);
   // Policy slot: written by the lifecycle layer, re-read by every worker
   // at each batch boundary.  Ranked below kEngine so inline drains

@@ -143,17 +143,6 @@ void RobustRouter::set_policy(const rl::Policy* policy,
   candidate_ = candidate;
 }
 
-std::vector<RouteDecision> RobustRouter::decide_batch(
-    const std::vector<const RouteRequest*>& requests) {
-  std::vector<RouteDecision> decisions;
-  decisions.reserve(requests.size());
-  for (const RouteRequest* request : requests) {
-    decisions.push_back(decide(request != nullptr ? *request
-                                                  : RouteRequest{}));
-  }
-  return decisions;
-}
-
 RouteDecision RobustRouter::decide(const RouteRequest& request) {
   const Clock::time_point start = Clock::now();
   ++stats_.requests;

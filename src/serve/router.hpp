@@ -184,13 +184,6 @@ class RobustRouter {
   // Produces a valid routing decision for the request.  Never throws.
   RouteDecision decide(const RouteRequest& request);
 
-  // Decides a micro-batch in order, one decide() per request (a null
-  // request decides as an empty one).  Forwards are not stacked: each
-  // request's rung 1 runs the policy's mean-only Policy::infer.  Never
-  // throws.
-  std::vector<RouteDecision> decide_batch(
-      const std::vector<const RouteRequest*>& requests);
-
   // Installs the rung-1 policy used from here on.  Per-router and
   // unsynchronised by design: serve::Engine calls it on the worker's own
   // router at a batch boundary (the engine's policy slot provides the
@@ -201,7 +194,6 @@ class RobustRouter {
   // of policy_nan.
   void set_policy(const rl::Policy* policy, std::uint64_t version,
                   bool candidate = false);
-  std::uint64_t policy_version() const { return policy_version_; }
 
   const RouterStats& stats() const { return stats_; }
   const CircuitBreaker& breaker() const { return *breaker_; }

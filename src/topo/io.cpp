@@ -95,6 +95,9 @@ DiGraph load_topology(std::istream& is) {
       ls >> name;
     } else if (keyword == "nodes") {
       if (!(ls >> num_nodes) || num_nodes < 0) fail(line_no, "bad node count");
+      if (num_nodes > kMaxTopologyNodes) {
+        fail(line_no, "node count above " + std::to_string(kMaxTopologyNodes));
+      }
     } else if (keyword == "link" || keyword == "edge") {
       PendingEdge e{};
       if (!(ls >> e.u >> e.v >> e.capacity)) {

@@ -27,6 +27,12 @@ namespace gddr::topo {
 void save_topology(std::ostream& os, const graph::DiGraph& g);
 void save_topology_file(const std::string& path, const graph::DiGraph& g);
 
+// Largest `nodes` count load_topology accepts.  The graph is sized from
+// that count before any link is read, so an unchecked count is an
+// allocation the file's size does not bound.  Far above every catalogue
+// and Topology Zoo graph.
+inline constexpr int kMaxTopologyNodes = 65536;
+
 // Parses the format above.  Throws util::IoError with a line number on
 // malformed input (as do the writers on filesystem failure), so CLI
 // callers map bad topology files to the I/O exit code.

@@ -90,11 +90,6 @@ class MpmcQueue {
     ready_.notify_all();
   }
 
-  bool closed() const GDDR_EXCLUDES(mu_) {
-    const MutexLock lock(mu_);
-    return closed_;
-  }
-
   std::size_t size() const GDDR_EXCLUDES(mu_) {
     const MutexLock lock(mu_);
     return items_.size();

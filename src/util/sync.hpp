@@ -98,9 +98,6 @@ enum class LockRank : int {
                         //   router (holds its lock across a candidate
                         //   decide(), which nests the topo cache /
                         //   breaker / obs registry below)
-  kBatcher = 80,        // reserved: serve::Batcher is per-worker state
-                        //   today (unsynchronised by design); rank held
-                        //   for when it grows a lock
   kMpmcQueue = 70,      // util::MpmcQueue (serving admission queue)
   kOptimalCache = 60,   // mcf::OptimalCache LRU index
   kTopologyCache = 50,  // serve::TopologyCache LRU index

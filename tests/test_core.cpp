@@ -148,9 +148,8 @@ TEST(RoutingEnv, FullFeaturePolicyWidthOverride) {
   pcfg.mlp_hidden = {8};
   GnnPolicy policy(pcfg, prng);
   const rl::Observation obs = env.reset();
-  nn::Tape tape;
-  const auto mean = policy.action_mean(tape, obs);
-  EXPECT_EQ(tape.value(mean).cols(), env.current_graph().num_edges());
+  EXPECT_EQ(policy.infer(obs, rl::Heads::kMean).mean.size(),
+            static_cast<std::size_t>(env.current_graph().num_edges()));
 }
 
 TEST(RoutingEnv, PerDestinationActionSpace) {
@@ -390,15 +389,16 @@ TEST(MlpPolicy, ShapesAndParameters) {
   EXPECT_GT(policy.num_parameters(), 0U);
   rl::Observation obs;
   obs.flat.assign(27, 0.1);
-  nn::Tape tape;
   EXPECT_EQ(policy.action_dim(obs), 8);
-  const auto mean = policy.action_mean(tape, obs);
-  EXPECT_EQ(tape.value(mean).cols(), 8);
-  const auto v = policy.value(tape, obs);
-  EXPECT_EQ(tape.value(v).rows(), 1);
-  EXPECT_EQ(tape.value(v).cols(), 1);
-  const auto ls = policy.log_std_row(tape, 8);
-  EXPECT_EQ(tape.value(ls).cols(), 8);
+  const rl::PolicyForward fwd = policy.infer(obs, rl::Heads::kAll);
+  EXPECT_EQ(fwd.mean.size(), 8U);
+  EXPECT_EQ(fwd.log_std.size(), 8U);
+  nn::Tape tape;
+  const auto eval = policy.evaluate_batch(tape, {&obs, &obs});
+  EXPECT_EQ(tape.value(eval.means).rows(), 16);
+  EXPECT_EQ(tape.value(eval.log_std).rows(), 16);
+  EXPECT_EQ(tape.value(eval.values).rows(), 2);
+  EXPECT_EQ(tape.value(eval.values).cols(), 1);
 }
 
 TEST(MlpPolicy, RejectsWrongObservationSize) {
@@ -407,8 +407,9 @@ TEST(MlpPolicy, RejectsWrongObservationSize) {
   rl::Observation obs;
   obs.flat.assign(12, 0.0);
   EXPECT_THROW(policy.action_dim(obs), std::invalid_argument);
+  EXPECT_THROW(policy.infer(obs, rl::Heads::kAll), std::invalid_argument);
   nn::Tape tape;
-  EXPECT_THROW(policy.log_std_row(tape, 3), std::invalid_argument);
+  EXPECT_THROW(policy.evaluate_batch(tape, {&obs}), std::invalid_argument);
 }
 
 TEST(GnnPolicy, ActionDimFollowsGraph) {
@@ -419,15 +420,12 @@ TEST(GnnPolicy, ActionDimFollowsGraph) {
   RoutingEnv env(tiny_scenarios(24), tiny_env_config(), 1);
   const rl::Observation obs = env.reset();
   EXPECT_EQ(policy.action_dim(obs), env.current_graph().num_edges());
-  nn::Tape tape;
-  const auto mean = policy.action_mean(tape, obs);
-  EXPECT_EQ(tape.value(mean).cols(), env.current_graph().num_edges());
-  const auto ls = policy.log_std_row(tape, policy.action_dim(obs));
-  EXPECT_EQ(tape.value(ls).cols(), env.current_graph().num_edges());
+  const rl::PolicyForward fwd = policy.infer(obs, rl::Heads::kAll);
+  const auto edges = static_cast<std::size_t>(env.current_graph().num_edges());
+  EXPECT_EQ(fwd.mean.size(), edges);
+  ASSERT_EQ(fwd.log_std.size(), edges);
   // Shared scalar: all entries equal.
-  for (int j = 1; j < tape.value(ls).cols(); ++j) {
-    EXPECT_FLOAT_EQ(tape.value(ls).at(0, j), tape.value(ls).at(0, 0));
-  }
+  for (const double ls : fwd.log_std) EXPECT_EQ(ls, fwd.log_std.front());
 }
 
 TEST(GnnPolicy, SameParametersAcrossTopologies) {
@@ -446,9 +444,8 @@ TEST(GnnPolicy, SameParametersAcrossTopologies) {
   for (const auto& s : scenarios) {
     RoutingEnv env({s}, tiny_env_config(), 1);
     const rl::Observation obs = env.reset();
-    nn::Tape tape;
-    const auto mean = policy.action_mean(tape, obs);
-    EXPECT_EQ(tape.value(mean).cols(), s.graph.num_edges());
+    EXPECT_EQ(policy.infer(obs, rl::Heads::kMean).mean.size(),
+              static_cast<std::size_t>(s.graph.num_edges()));
   }
   EXPECT_EQ(policy.num_parameters(), params_before);
 }
@@ -461,10 +458,9 @@ TEST(IterativeGnnPolicy, TwoDimensionalAction) {
   IterativeRoutingEnv env(tiny_scenarios(28), tiny_iter_config(), 1);
   const rl::Observation obs = env.reset();
   EXPECT_EQ(policy.action_dim(obs), 2);
-  nn::Tape tape;
-  const auto mean = policy.action_mean(tape, obs);
-  EXPECT_EQ(tape.value(mean).cols(), 2);
-  EXPECT_THROW(policy.log_std_row(tape, 5), std::invalid_argument);
+  const rl::PolicyForward fwd = policy.infer(obs, rl::Heads::kAll);
+  EXPECT_EQ(fwd.mean.size(), 2U);
+  EXPECT_EQ(fwd.log_std.size(), 2U);
 }
 
 // ---------------- evaluation helpers ----------------

@@ -60,14 +60,14 @@ TEST(Serialize, RoundTripPreservesOutputs) {
       core::make_scenario(topo::by_name("SmallRing"), p, srng);
   const auto obs = core::RoutingEnv::build_observation(
       scenario, scenario.train_sequences[0], 3, 3);
-  nn::Tape ta;
-  nn::Tape tb;
-  const auto ya = ta.value(original.action_mean(ta, obs));
-  const auto yb = tb.value(loaded.action_mean(tb, obs));
-  ASSERT_EQ(ya.cols(), yb.cols());
-  for (int j = 0; j < ya.cols(); ++j) {
-    EXPECT_FLOAT_EQ(ya.at(0, j), yb.at(0, j));
+  const auto ya = original.infer(obs, rl::Heads::kAll);
+  const auto yb = loaded.infer(obs, rl::Heads::kAll);
+  ASSERT_EQ(ya.mean.size(), yb.mean.size());
+  for (std::size_t j = 0; j < ya.mean.size(); ++j) {
+    EXPECT_EQ(ya.mean[j], yb.mean[j]);
   }
+  EXPECT_EQ(ya.value, yb.value);
+  EXPECT_EQ(ya.log_std, yb.log_std);
   std::remove(path.c_str());
 }
 

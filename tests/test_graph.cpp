@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "graph/algorithms.hpp"
 #include "graph/digraph.hpp"
@@ -24,6 +25,11 @@ TEST(DiGraph, ConstructionCounts) {
   EXPECT_EQ(g.num_nodes(), 4);
   EXPECT_EQ(g.num_edges(), 4);
   EXPECT_EQ(g.name(), "diamond");
+}
+
+TEST(DiGraph, NegativeNodeCountRejected) {
+  EXPECT_THROW(DiGraph(-1), std::invalid_argument);
+  EXPECT_EQ(DiGraph(0).num_nodes(), 0);
 }
 
 TEST(DiGraph, EdgeAccess) {

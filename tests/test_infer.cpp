@@ -1,16 +1,18 @@
 // Differential slice for the tape-free policy forward (rl::Policy::infer).
 //
 // infer() must reproduce the tape forward bit for bit: every head of every
-// policy family is compared with memcmp against the tape's action_mean /
-// value / log_std_row on the seeded ER/WS/BA family (5-100 nodes,
+// policy family is compared with memcmp against a one-observation
+// Policy::evaluate_batch on the seeded ER/WS/BA family (5-100 nodes,
 // including disconnected graphs) plus Abilene, from several threads at
-// once, and on malformed input both paths must throw
-// std::invalid_argument.  The GDDRPARM reader is mutation-tested here too:
-// infer() trusts parameter shapes, so a load must either throw
-// util::IoError or yield a policy that infers exactly like a fresh load of
-// the same bytes.
+// once, and against the rows of multi-observation batches (mixed
+// topologies for the GNN policies), the PPO update's forward.  On
+// malformed input both paths must throw std::invalid_argument.  The
+// GDDRPARM reader is mutation-tested here too: infer() trusts parameter
+// shapes, so a load must either throw util::IoError or yield a policy
+// that infers exactly like a fresh load of the same bytes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -88,19 +90,31 @@ std::vector<graph::DiGraph> graphs() {
   return out;
 }
 
-std::vector<double> row_of(const nn::Tensor& t) {
-  return std::vector<double>(t.data().begin(), t.data().end());
+// The tape's three heads for each observation, read from the rows of one
+// evaluate_batch over all of them.
+std::vector<PolicyForward> batch_rows(
+    rl::Policy& policy, const std::vector<const Observation*>& obs) {
+  nn::Tape tape;
+  const rl::Policy::BatchEvaluation eval = policy.evaluate_batch(tape, obs);
+  const nn::Tensor& means = tape.value(eval.means);
+  const nn::Tensor& log_std = tape.value(eval.log_std);
+  const nn::Tensor& values = tape.value(eval.values);
+  std::vector<PolicyForward> out(obs.size());
+  int row = 0;
+  for (std::size_t b = 0; b < obs.size(); ++b) {
+    for (int j = 0; j < policy.action_dim(*obs[b]); ++j, ++row) {
+      out[b].mean.push_back(means.at(row, 0));
+      out[b].log_std.push_back(log_std.at(row, 0));
+    }
+    out[b].value = values.at(static_cast<int>(b), 0);
+  }
+  EXPECT_EQ(row, means.rows());
+  return out;
 }
 
-// The tape's three heads for one observation: the reference for infer().
+// A one-observation evaluate_batch: the reference for infer().
 PolicyForward tape_forward(rl::Policy& policy, const Observation& obs) {
-  nn::Tape tape;
-  const int adim = policy.action_dim(obs);
-  PolicyForward fwd;
-  fwd.mean = row_of(tape.value(policy.action_mean(tape, obs)));
-  fwd.value = tape.value(policy.value(tape, obs)).at(0, 0);
-  fwd.log_std = row_of(tape.value(policy.log_std_row(tape, adim)));
-  return fwd;
+  return batch_rows(policy, {&obs}).front();
 }
 
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -135,6 +149,20 @@ void expect_heads_match(const rl::Policy& policy, const PolicyForward& ref,
   EXPECT_TRUE(same_bits(wrapped.mean, ref.mean)) << what;
   EXPECT_TRUE(same_bits(wrapped.value, ref.value)) << what;
   EXPECT_TRUE(same_bits(wrapped.log_std, ref.log_std)) << what;
+}
+
+// Every observation's infer() heads against its rows of one
+// multi-observation evaluate_batch.
+void expect_batch_rows_match(rl::Policy& policy,
+                             const std::vector<Observation>& observations,
+                             const std::string& what) {
+  std::vector<const Observation*> obs;
+  for (const Observation& o : observations) obs.push_back(&o);
+  const std::vector<PolicyForward> rows = batch_rows(policy, obs);
+  for (std::size_t b = 0; b < obs.size(); ++b) {
+    expect_heads_match(policy, rows[b], *obs[b],
+                       what + " batch row " + std::to_string(b));
+  }
 }
 
 core::GnnPolicyConfig deep_gnn_config() {
@@ -267,12 +295,16 @@ TEST(InferPolicy, GnnPolicyHeadsMatchTapeOnFamily) {
     perturb(policy, 31 + c);
     util::Rng rng(41 + c);
     const int width = 2 * configs[c].memory;
+    std::vector<Observation> batch;
     for (const auto& g : graphs()) {
       const Observation obs = random_graph_observation(g, width, 1, rng);
       expect_heads_match(policy, tape_forward(policy, obs), obs,
                          "config " + std::to_string(c) + " graph " +
                              std::to_string(g.num_nodes()));
+      batch.push_back(obs);
     }
+    // One minibatch of every topology of the family.
+    expect_batch_rows_match(policy, batch, "config " + std::to_string(c));
   }
 }
 
@@ -316,6 +348,7 @@ TEST(InferPolicy, IterativeGnnPolicyHeadsMatchTape) {
   core::IterativeEnvConfig env_cfg;
   env_cfg.memory = 3;
   int checked = 0;
+  std::vector<Observation> batch;  // every fifth micro-step, both graphs
   for (const auto& scenario : scenarios) {
     core::IterativeRoutingEnv env({scenario}, env_cfg, 55);
     Observation obs = env.reset();
@@ -324,6 +357,7 @@ TEST(InferPolicy, IterativeGnnPolicyHeadsMatchTape) {
       expect_heads_match(policy, tape_forward(policy, obs), obs,
                          "micro-step " + std::to_string(step));
       ++checked;
+      if (step % 5 == 0) batch.push_back(obs);
       const std::vector<double> action{arng.uniform(-1.0, 1.0),
                                        arng.uniform(-1.0, 1.0)};
       auto result = env.step(action);
@@ -338,7 +372,9 @@ TEST(InferPolicy, IterativeGnnPolicyHeadsMatchTape) {
     const Observation obs = random_graph_observation(g, 6, 4, rng);
     expect_heads_match(policy, tape_forward(policy, obs), obs,
                        "family " + std::to_string(g.num_nodes()));
+    batch.push_back(obs);
   }
+  expect_batch_rows_match(policy, batch, "iterative");
 }
 
 TEST(InferPolicy, MlpPolicyHeadsMatchTape) {
@@ -351,43 +387,49 @@ TEST(InferPolicy, MlpPolicyHeadsMatchTape) {
   core::MlpPolicy policy(obs_dim, g.num_edges(), cfg, prng);
   perturb(policy, 62);
   util::Rng rng(63);
+  std::vector<Observation> batch;
   for (int i = 0; i < 6; ++i) {
     Observation obs;
     obs.flat.resize(static_cast<std::size_t>(obs_dim));
     for (double& v : obs.flat) v = rng.uniform(0.0, 3.0);
     expect_heads_match(policy, tape_forward(policy, obs), obs,
                        "sample " + std::to_string(i));
+    batch.push_back(obs);
   }
+  expect_batch_rows_match(policy, batch, "MLP");
 }
 
-// One policy, four threads, every thread checking every observation
-// against the tape reference computed up front.
-TEST(InferPolicy, ConcurrentInferOnOnePolicyIsBitIdentical) {
-  util::Rng prng(71);
-  core::GnnPolicy policy(core::experiment_gnn_config(5), prng);
-  perturb(policy, 72);
-  util::Rng rng(73);
-  std::vector<Observation> observations;
+// True when every head `heads` asks for has the reference's bits.
+bool heads_match(const PolicyForward& got, const PolicyForward& ref,
+                 Heads heads) {
+  return (heads == Heads::kValue || same_bits(got.mean, ref.mean)) &&
+         (heads == Heads::kMean || same_bits(got.value, ref.value)) &&
+         (heads != Heads::kAll || same_bits(got.log_std, ref.log_std));
+}
+
+// One policy, four threads, every thread checking every observation and
+// every head against the one-observation evaluate_batch computed up front.
+void expect_concurrent_infer_matches(
+    rl::Policy& policy, const std::vector<Observation>& observations,
+    const std::string& what) {
   std::vector<PolicyForward> expected;
-  for (const auto& g : graphs()) {
-    observations.push_back(random_graph_observation(g, 10, 1, rng));
-    expected.push_back(tape_forward(policy, observations.back()));
+  for (const Observation& obs : observations) {
+    expected.push_back(tape_forward(policy, obs));
   }
+  const rl::Policy& shared = policy;
   std::vector<int> mismatches(4, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < 3; ++round) {
+        const Heads heads = std::array{Heads::kMean, Heads::kValue,
+                                       Heads::kAll}[(t + round) % 3];
         for (std::size_t i = 0; i < observations.size(); ++i) {
           // Threads walk the set in different orders so the per-thread
           // spec caches and scratch buffers see different histories.
           const std::size_t k = (i * (t + 1) + round) % observations.size();
-          const Heads heads = t % 2 == 0 ? Heads::kAll : Heads::kMean;
-          const PolicyForward got = policy.infer(observations[k], heads);
-          if (!same_bits(got.mean, expected[k].mean) ||
-              (heads == Heads::kAll &&
-               (!same_bits(got.value, expected[k].value) ||
-                !same_bits(got.log_std, expected[k].log_std)))) {
+          if (!heads_match(shared.infer(observations[k], heads), expected[k],
+                           heads)) {
             ++mismatches[static_cast<std::size_t>(t)];
           }
         }
@@ -395,7 +437,43 @@ TEST(InferPolicy, ConcurrentInferOnOnePolicyIsBitIdentical) {
     });
   }
   for (auto& th : threads) th.join();
-  for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0)
+        << what << " thread " << t;
+  }
+}
+
+TEST(InferPolicy, ConcurrentInferOnOnePolicyIsBitIdentical) {
+  util::Rng rng(73);
+  std::vector<Observation> gnn_obs;
+  std::vector<Observation> iterative_obs;
+  for (const auto& g : graphs()) {
+    gnn_obs.push_back(random_graph_observation(g, 10, 1, rng));
+    iterative_obs.push_back(random_graph_observation(g, 6, 4, rng));
+  }
+  util::Rng gnn_rng(71);
+  core::GnnPolicy gnn(core::experiment_gnn_config(5), gnn_rng);
+  perturb(gnn, 72);
+  expect_concurrent_infer_matches(gnn, gnn_obs, "GNN");
+
+  util::Rng iterative_rng(74);
+  core::IterativeGnnPolicy iterative(core::experiment_iterative_gnn_config(3),
+                                     iterative_rng);
+  perturb(iterative, 75);
+  expect_concurrent_infer_matches(iterative, iterative_obs, "iterative");
+
+  const graph::DiGraph g = topo::abilene();
+  const int obs_dim = 5 * g.num_nodes() * g.num_nodes();
+  util::Rng mlp_rng(76);
+  core::MlpPolicy mlp(obs_dim, g.num_edges(), core::MlpPolicyConfig{},
+                      mlp_rng);
+  perturb(mlp, 77);
+  std::vector<Observation> mlp_obs(6);
+  for (Observation& obs : mlp_obs) {
+    obs.flat.resize(static_cast<std::size_t>(obs_dim));
+    for (double& v : obs.flat) v = rng.uniform(0.0, 3.0);
+  }
+  expect_concurrent_infer_matches(mlp, mlp_obs, "MLP");
 }
 
 // ---------------------------------------------------------------------------
@@ -408,9 +486,8 @@ void expect_both_throw(rl::Policy& policy, const Observation& obs,
     EXPECT_THROW(policy.infer(obs, heads), std::invalid_argument) << what;
   }
   nn::Tape tape;
-  EXPECT_THROW(policy.action_mean(tape, obs), std::invalid_argument) << what;
-  nn::Tape value_tape;
-  EXPECT_THROW(policy.value(value_tape, obs), std::invalid_argument) << what;
+  EXPECT_THROW(policy.evaluate_batch(tape, {&obs}), std::invalid_argument)
+      << what;
 }
 
 TEST(InferPolicy, MalformedGraphObservationsThrowLikeTheTape) {

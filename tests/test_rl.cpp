@@ -235,8 +235,8 @@ TEST(Ppo, RewardScaleAppliedToValueTargetsNotStats) {
 // ---------------- stacked minibatch update vs per-sample reference ----------------
 
 // Test-only reference: the PPO2 minibatch loss built one sample at a time
-// (one policy forward per sample, scalar ops), the formula the stacked
-// ppo_minibatch_loss replaced.
+// (a one-observation evaluate_batch per sample, scalar ops), the formula
+// the stacked ppo_minibatch_loss replaced.
 struct ReferenceLoss {
   double total = 0.0;
   double policy_loss = 0.0;
@@ -258,8 +258,9 @@ ReferenceLoss per_sample_reference(Policy& policy,
   for (const StepSample* sp : batch) {
     const StepSample& s = *sp;
     const int adim = static_cast<int>(s.action.size());
-    const Tape::Var mean = policy.action_mean(tape, s.obs);
-    const Tape::Var log_std = policy.log_std_row(tape, adim);
+    const Policy::BatchEvaluation eval = policy.evaluate_batch(tape, {&s.obs});
+    const Tape::Var mean = tape.reshape(eval.means, 1, adim);
+    const Tape::Var log_std = tape.reshape(eval.log_std, 1, adim);
     const nn::Tensor action_row = nn::Tensor::row(
         std::span<const double>(s.action.data(), s.action.size()));
     const Tape::Var log_prob =
@@ -271,7 +272,7 @@ ReferenceLoss per_sample_reference(Policy& policy,
     const Tape::Var surr2 =
         tape.scale(tape.clip(ratio, 1.0F - clip, 1.0F + clip), adv);
     const Tape::Var policy_loss = tape.neg(tape.minimum(surr1, surr2));
-    const Tape::Var v = policy.value(tape, s.obs);
+    const Tape::Var v = eval.values;
     const auto v_old = static_cast<float>(s.value);
     const auto ret = static_cast<float>(s.return_);
     const Tape::Var v_err = tape.square(tape.add_scalar(v, -ret));
@@ -493,34 +494,6 @@ TEST(PpoStackedUpdate, IterativeGnnMatchesPerSampleReference) {
   }
 }
 
-// The stacked evaluation's rows are the per-observation forwards, bit for
-// bit, including across topologies in one minibatch.
-TEST(PpoStackedUpdate, EvaluateBatchRowsBitIdenticalToPerSampleForwards) {
-  const auto observations = routing_observations(scenarios_for("mixed"));
-  util::Rng rng(48);
-  core::GnnPolicyConfig pcfg;
-  pcfg.memory = kMemory;
-  core::GnnPolicy policy(pcfg, rng);
-  std::vector<const Observation*> obs;
-  for (const Observation& o : observations) obs.push_back(&o);
-  nn::Tape tape;
-  const Policy::BatchEvaluation eval = policy.evaluate_batch(tape, obs);
-  const nn::Tensor& means = tape.value(eval.means);
-  const nn::Tensor& log_std = tape.value(eval.log_std);
-  const nn::Tensor& values = tape.value(eval.values);
-  int row = 0;
-  for (std::size_t b = 0; b < obs.size(); ++b) {
-    const PolicyForward fwd = forward_policy(policy, *obs[b]);
-    for (std::size_t j = 0; j < fwd.mean.size(); ++j, ++row) {
-      EXPECT_EQ(static_cast<float>(fwd.mean[j]), means.at(row, 0));
-      EXPECT_EQ(static_cast<float>(fwd.log_std[j]), log_std.at(row, 0));
-    }
-    EXPECT_EQ(static_cast<float>(fwd.value),
-              values.at(static_cast<int>(b), 0));
-  }
-  EXPECT_EQ(row, means.rows());
-}
-
 // The trainer's update tape lives for the whole run and is reset per
 // minibatch.  After a warm-up minibatch it must neither allocate nor grow
 // its arena's free lists: every stacked input is built in arena storage.
@@ -574,15 +547,6 @@ class PoisonOnceValue final : public Policy {
 
   int action_dim(const Observation& obs) const override {
     return inner_.action_dim(obs);
-  }
-  nn::Tape::Var action_mean(nn::Tape& tape, const Observation& obs) override {
-    return inner_.action_mean(tape, obs);
-  }
-  nn::Tape::Var value(nn::Tape& tape, const Observation& obs) override {
-    return inner_.value(tape, obs);
-  }
-  nn::Tape::Var log_std_row(nn::Tape& tape, int adim) override {
-    return inner_.log_std_row(tape, adim);
   }
   BatchEvaluation evaluate_batch(
       nn::Tape& tape, const std::vector<const Observation*>& obs) override {

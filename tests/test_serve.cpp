@@ -691,8 +691,9 @@ TEST(RobustRouter, ServesTopRungWhenHealthy) {
 // two-pass path (softmin_routing, then simulate) and requires
 // RobustRouter::decide's U_max with ==.  The same check here fails ctest
 // before a drift fails the benchmark.  The replay's action mean comes
-// from the tape (GnnPolicy::action_mean), so it also pins serving's
-// tape-free mean-only forward to the training forward, bit for bit.
+// from the tape (a one-observation GnnPolicy::evaluate_batch), so it also
+// pins serving's tape-free mean-only forward to the training forward,
+// bit for bit.
 TEST(RobustRouter, PolicyRungMatchesTheTwoPassReplayBitForBit) {
   for (const bool ba100 : {false, true}) {
     util::Rng graph_rng(100);
@@ -729,7 +730,8 @@ TEST(RobustRouter, PolicyRungMatchesTheTwoPassReplayBitForBit) {
           entry->obs_scenario, request.history, cfg.memory, cfg.memory,
           cfg.node_features);
       nn::Tape tape;
-      const nn::Tensor& tape_mean = tape.value(policy.action_mean(tape, obs));
+      const nn::Tensor& tape_mean =
+          tape.value(policy.evaluate_batch(tape, {&obs}).means);
       const std::vector<double> mean(tape_mean.data().begin(),
                                      tape_mean.data().end());
       const routing::Routing replay = routing::softmin_routing(
@@ -944,54 +946,6 @@ TEST(RobustRouter, RejectsBadStageFractions) {
   EXPECT_THROW(RobustRouter(nullptr, config), std::invalid_argument);
 }
 
-// The batched decision path must be indistinguishable from serving each
-// request alone — same rungs, bit-identical simulated utilisation — for
-// any mix of demands on one topology.
-TEST(RobustRouter, DecideBatchMatchesSequentialDecisions) {
-  util::Rng rng(7);
-  core::GnnPolicy policy(core::experiment_gnn_config(5), rng);
-  RobustRouter batched(&policy, test_router_config());
-  RobustRouter sequential(&policy, test_router_config());
-  const auto g = topo::abilene();
-
-  std::vector<RouteRequest> requests;
-  for (int i = 0; i < 5; ++i) {
-    requests.push_back(make_request(g, 0.5 + 0.25 * i));
-  }
-  std::vector<const RouteRequest*> pointers;
-  for (const auto& r : requests) pointers.push_back(&r);
-
-  const auto batch = batched.decide_batch(pointers);
-  ASSERT_EQ(batch.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto solo = sequential.decide(requests[i]);
-    EXPECT_EQ(batch[i].rung, Rung::kGnnPolicy);
-    EXPECT_EQ(batch[i].rung, solo.rung);
-    // Bit-identical, not approximately equal: the stacked GNN forward
-    // computes exactly the per-request arithmetic.
-    EXPECT_EQ(batch[i].sim.u_max, solo.sim.u_max);
-    EXPECT_EQ(batch[i].routed_demand, solo.routed_demand);
-  }
-}
-
-TEST(RobustRouter, DecideBatchMixedTopologiesFallsBack) {
-  util::Rng rng(7);
-  core::GnnPolicy policy(core::experiment_gnn_config(5), rng);
-  RobustRouter router(&policy, test_router_config());
-  RobustRouter reference(&policy, test_router_config());
-  const auto a = topo::abilene();
-  const auto b = topo::nsfnet();
-
-  const auto r0 = make_request(a, 1.0);
-  const auto r1 = make_request(b, 2.0);
-  const auto r2 = make_request(a, 3.0);
-  const auto batch = router.decide_batch({&r0, &r1, &r2});
-  ASSERT_EQ(batch.size(), 3U);
-  EXPECT_EQ(batch[0].sim.u_max, reference.decide(r0).sim.u_max);
-  EXPECT_EQ(batch[1].sim.u_max, reference.decide(r1).sim.u_max);
-  EXPECT_EQ(batch[2].sim.u_max, reference.decide(r2).sim.u_max);
-}
-
 // ---------------- serve::Engine ----------------
 
 EngineConfig inline_engine_config() {
@@ -1021,7 +975,48 @@ TEST(Engine, InlineModeServesQueuedRequestsInBatches) {
   EXPECT_EQ(stats.offered, 8);
   EXPECT_EQ(stats.served, 8);
   EXPECT_EQ(stats.shed, 0);
-  EXPECT_EQ(stats.batches, 2);  // 8 same-topology jobs, max_batch 4
+  EXPECT_EQ(stats.batches, 2);  // 8 jobs, max_batch 4
+}
+
+// A batch is whatever is queued, whatever its topology: six requests
+// alternating Abilene and Nsfnet form one batch, and each decision is
+// bit-identical to a plain RobustRouter's.
+TEST(Engine, InlineBatchMixesTopologiesLikeAPlainRouter) {
+  util::Rng rng(7);
+  core::GnnPolicy policy(core::experiment_gnn_config(5), rng);
+  EngineConfig config = inline_engine_config();
+  config.max_batch = 8;
+  Engine engine(&policy, config);
+  RobustRouter reference(&policy, test_router_config());
+  const auto a = topo::abilene();
+  const auto b = topo::nsfnet();
+
+  std::vector<RouteRequest> requests;
+  std::vector<std::future<ServeOutcome>> futures;
+  for (int i = 0; i < 6; ++i) {
+    requests.push_back(make_request(i % 2 == 0 ? a : b, 1.0 + i));
+    futures.push_back(engine.submit(requests.back()));
+  }
+  engine.poll();
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const ServeOutcome outcome = futures[i].get();
+    ASSERT_FALSE(outcome.shed) << i;
+    const serve::RouteDecision expected = reference.decide(requests[i]);
+    EXPECT_EQ(outcome.decision.rung, Rung::kGnnPolicy) << i;
+    EXPECT_EQ(outcome.decision.rung, expected.rung) << i;
+    EXPECT_EQ(outcome.decision.sim.u_max, expected.sim.u_max) << i;
+    EXPECT_EQ(outcome.decision.routed_demand, expected.routed_demand) << i;
+    const graph::DiGraph& g = i % 2 == 0 ? a : b;
+    for (graph::NodeId dest = 0; dest < g.num_nodes(); ++dest) {
+      const auto served = outcome.decision.routing.dest_ratios(dest);
+      const auto ref = expected.routing.dest_ratios(dest);
+      ASSERT_EQ(served.size(), ref.size());
+      EXPECT_EQ(
+          std::memcmp(served.data(), ref.data(), served.size_bytes()), 0)
+          << i << " row " << dest;
+    }
+  }
+  EXPECT_EQ(engine.stats().batches, 1);
 }
 
 TEST(Engine, RejectNewestShedsWhenQueueIsFull) {
@@ -1266,10 +1261,10 @@ TEST(Engine, RejectsBadConfiguration) {
 
 TEST(Engine, ConcurrentPollAndShutdownStayCoherent) {
   // Regression test for the inline-mode lifecycle race: poll(),
-  // shutdown() and router_stats() used to touch inline_batcher_ and
-  // router_stats_ with no synchronisation, so a stats poll racing a
-  // shutdown read the aggregate mid-write (and router_stats() returned a
-  // reference into the mutating member).  All three now serialise on the
+  // shutdown() and router_stats() used to drain the queue into the one
+  // inline router and touch router_stats_ with no synchronisation, so a
+  // stats poll racing a shutdown read the aggregate mid-write (and
+  // router_stats() returned a reference into the mutating member).  All three now serialise on the
   // engine lifecycle mutex; under TSan this test fails without it.
   EngineConfig config = inline_engine_config();
   config.queue_capacity = 256;

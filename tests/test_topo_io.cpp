@@ -1,11 +1,18 @@
 // Tests for the gddr-topology file format (src/topo/io.hpp).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <exception>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "topo/io.hpp"
 #include "topo/zoo.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace gddr::topo {
 namespace {
@@ -121,6 +128,104 @@ TEST(TopologyIo, ErrorsCarryLineNumbers) {
     EXPECT_NE(std::string(ex.what()).find("line 3"), std::string::npos)
         << ex.what();
   }
+}
+
+TEST(TopologyIo, NodeCountAboveBoundRejected) {
+  for (const char* count : {"65537", "2000000000"}) {
+    std::stringstream ss(std::string("gddr-topology v1\nnodes ") + count +
+                         "\n");
+    EXPECT_THROW(load_topology(ss), util::IoError) << count;
+  }
+  std::stringstream ss("gddr-topology v1\nnodes " +
+                       std::to_string(kMaxTopologyNodes) + "\nlink 0 1 10\n");
+  EXPECT_EQ(load_topology(ss).num_nodes(), kMaxTopologyNodes);
+}
+
+// Deterministic mutation `seed` of a saved topology file: byte flips,
+// truncations, inserted digits and keyword swaps.
+std::string mutate(const std::string& original, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_index(n));
+  };
+  std::string text = original;
+  switch (seed % 4) {
+    case 0: {  // byte flips anywhere
+      const auto flips = rng.uniform_int(1, 3);
+      for (std::int64_t i = 0; i < flips; ++i) {
+        text[pick(text.size())] ^= static_cast<char>(rng.uniform_int(1, 255));
+      }
+      break;
+    }
+    case 1:  // truncation
+      text.resize(pick(text.size()));
+      break;
+    case 2: {  // inserted digits, sometimes signed: counts, ids, capacities
+      std::string digits = rng.bernoulli(0.2) ? "-" : "";
+      const auto n = rng.uniform_int(1, 12);
+      for (std::int64_t i = 0; i < n; ++i) {
+        digits += static_cast<char>('0' + rng.uniform_int(0, 9));
+      }
+      text.insert(pick(text.size() + 1), digits);
+      break;
+    }
+    default: {  // one keyword replaced by another (or by an unknown one)
+      static const std::array<std::string, 6> keywords = {
+          "gddr-topology", "name", "nodes", "link", "edge", "wormhole"};
+      std::vector<std::size_t> at;
+      for (const std::string& k : keywords) {
+        for (auto p = text.find(k); p != std::string::npos;
+             p = text.find(k, p + 1)) {
+          at.push_back(p);
+        }
+      }
+      const std::size_t p = at[pick(at.size())];
+      std::size_t len = 0;
+      while (p + len < text.size() && text[p + len] != ' ' &&
+             text[p + len] != '\n') {
+        ++len;
+      }
+      text.replace(p, len, keywords[pick(keywords.size())]);
+      break;
+    }
+  }
+  return text;
+}
+
+// Every mutated file either parses into a well-formed graph or throws
+// util::IoError; nothing else escapes, and no count in the file can
+// size an allocation past kMaxTopologyNodes.
+TEST(TopologyIo, MutatedFilesParseOrThrowIoError) {
+  int parsed = 0;
+  int rejected = 0;
+  for (const char* name : {"Abilene", "SmallRing", "Nsfnet"}) {
+    std::stringstream saved;
+    save_topology(saved, by_name(name));
+    const std::string original = saved.str();
+    for (std::uint64_t seed = 0; seed < 400; ++seed) {
+      std::stringstream in(mutate(original, seed));
+      try {
+        const graph::DiGraph g = load_topology(in);
+        ++parsed;
+        EXPECT_LE(g.num_nodes(), kMaxTopologyNodes) << name << " " << seed;
+        for (const graph::Edge& e : g.edges()) {
+          ASSERT_TRUE(g.valid_node(e.src) && g.valid_node(e.dst))
+              << name << " " << seed;
+          ASSERT_NE(e.src, e.dst) << name << " " << seed;
+          ASSERT_GT(e.capacity, 0.0) << name << " " << seed;
+        }
+      } catch (const util::IoError&) {
+        ++rejected;
+      } catch (const std::exception& ex) {
+        ADD_FAILURE() << name << " seed " << seed << ": non-IoError "
+                      << ex.what();
+      }
+    }
+  }
+  // Both outcomes occur: flips inside names and comments, and trailing
+  // truncations, still parse.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 300);
 }
 
 }  // namespace
