@@ -3,7 +3,11 @@
 // evaluation) at 1 vs 4 workers, and checks the determinism contract —
 // the 4-worker run must be bit-identical to the serial one.
 //
-// Writes the measurements to BENCH_parallel.json in the working directory.
+// Writes the measurements to BENCH_parallel.json in the working directory
+// (schema "gddr.bench_parallel.v1": git sha, build type and nproc name the
+// source and host) and exits 1 on any determinism violation.  Every worker
+// reads the scenario's shared demand sequences, so the TSan build of this
+// bench also checks that reads of shared traffic are race-free.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +30,13 @@
 #include "routing/baselines.hpp"
 #include "topo/zoo.hpp"
 #include "util/thread_pool.hpp"
+
+#ifndef GDDR_GIT_SHA
+#define GDDR_GIT_SHA "unknown"
+#endif
+#ifndef GDDR_BUILD_TYPE
+#define GDDR_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
@@ -224,9 +235,12 @@ int main(int argc, char** argv) {
   std::snprintf(
       json, sizeof(json),
       "{\n"
+        "  \"schema\": \"gddr.bench_parallel.v1\",\n"
+        "  \"git_sha\": \"" GDDR_GIT_SHA "\",\n"
+        "  \"build_type\": \"" GDDR_BUILD_TYPE "\",\n"
+        "  \"nproc\": %u,\n"
         "  \"workers\": %d,\n"
         "  \"kernels_bit_identical\": %s,\n"
-        "  \"hardware_concurrency\": %u,\n"
         "  \"vec_envs\": %d,\n"
         "  \"collection\": {\n"
         "    \"steps_per_env\": %d,\n"
@@ -247,7 +261,7 @@ int main(int argc, char** argv) {
         "  \"meets_2x_target\": %s,\n"
         "  \"note\": \"%s\"\n"
         "}\n",
-        parallel_workers, kernels_identical ? "true" : "false", hardware,
+        hardware, parallel_workers, kernels_identical ? "true" : "false",
         kVecEnvs, kStepsPerEnv,
         collect_serial.seconds, collect_parallel.seconds, collect_speedup,
         collect_identical ? "true" : "false", kEvalTestSequences,

@@ -39,8 +39,9 @@ EvalResult evaluate_policy_impl(rl::PpoTrainer& trainer, EnvT& env,
   // Workers evaluate on copies: the caller may be mid-rollout on `env`,
   // and driving episodes through the trainer's live environment would
   // desynchronise the trainer's cached observation from the env state.
-  // Copies share the optimal-utilisation cache (shared_ptr, internally
-  // locked), so no LP work is repeated across workers.
+  // A copy is cheap: it shares the scenarios' immutable demand sequences
+  // and the optimal-utilisation cache (shared_ptr, internally locked), so
+  // no traffic is duplicated and no LP work is repeated across workers.
   const std::size_t units = env.num_test_units();
   const std::size_t workers =
       pool != nullptr && pool->size() > 1

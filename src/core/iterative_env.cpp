@@ -50,8 +50,12 @@ void IterativeRoutingEnv::set_shared_cache(
   cache_ = std::move(cache);
 }
 
+const Scenario& IterativeRoutingEnv::current_scenario() const {
+  return scenarios_[scenario_idx_];
+}
+
 const graph::DiGraph& IterativeRoutingEnv::current_graph() const {
-  return scenarios_[scenario_idx_].graph;
+  return current_scenario().graph;
 }
 
 std::size_t IterativeRoutingEnv::num_test_episodes() const {
@@ -92,7 +96,7 @@ void IterativeRoutingEnv::seek_test_unit(std::size_t unit) {
 }
 
 const traffic::DemandSequence& IterativeRoutingEnv::current_sequence() const {
-  const Scenario& s = scenarios_[scenario_idx_];
+  const Scenario& s = current_scenario();
   return mode_ == Mode::kTrain ? s.train_sequences[sequence_idx_]
                                : s.test_sequences[sequence_idx_];
 }

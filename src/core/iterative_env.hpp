@@ -61,6 +61,7 @@ class IterativeRoutingEnv final : public rl::Env {
 
   double last_ratio() const { return last_ratio_; }
   const graph::DiGraph& current_graph() const;
+  const Scenario& current_scenario() const;
   // Micro-steps per demand-matrix timestep (= current |E|).
   int edges_per_step() const { return current_graph().num_edges(); }
   Mode mode() const { return mode_; }

@@ -1,6 +1,7 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "topo/mutate.hpp"
 #include "topo/zoo.hpp"
@@ -9,22 +10,31 @@ namespace gddr::core {
 
 using traffic::DemandSequence;
 
+SharedSequences::SharedSequences(std::vector<DemandSequence> sequences) {
+  if (!sequences.empty()) {
+    data_ = std::make_shared<const std::vector<DemandSequence>>(
+        std::move(sequences));
+  }
+}
+
 Scenario make_scenario(graph::DiGraph g, const ScenarioParams& params,
                        util::Rng& rng) {
   Scenario scenario;
   const int n = g.num_nodes();
   scenario.graph = std::move(g);
   double peak_total = 0.0;
-  auto generate = [&](int count, std::vector<DemandSequence>& out) {
+  auto generate = [&](int count) {
+    std::vector<DemandSequence> out;
     for (int i = 0; i < count; ++i) {
       DemandSequence seq = traffic::cyclical_bimodal_sequence(
           n, params.sequence_length, params.cycle_length, params.demand, rng);
       for (const auto& dm : seq) peak_total = std::max(peak_total, dm.total());
       out.push_back(std::move(seq));
     }
+    return SharedSequences(std::move(out));
   };
-  generate(params.train_sequences, scenario.train_sequences);
-  generate(params.test_sequences, scenario.test_sequences);
+  scenario.train_sequences = generate(params.train_sequences);
+  scenario.test_sequences = generate(params.test_sequences);
   if (peak_total > 0.0 && n > 0) {
     // Per-node demand sums are ~ total/n; flattened entries ~ total/n^2.
     scenario.node_feature_scale = peak_total / n;

@@ -8,6 +8,8 @@
 // mutations.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -17,10 +19,35 @@
 
 namespace gddr::core {
 
+// An immutable list of demand sequences, shared by every copy.  Copying a
+// Scenario into each vectorised env, and each env into an evaluation
+// worker, copies a pointer, not the traffic: one Nsfnet training scenario
+// holds ~19 MB of demand matrices.  Read access only; an empty list
+// allocates nothing.
+class SharedSequences {
+ public:
+  using const_iterator = const traffic::DemandSequence*;
+
+  SharedSequences() = default;
+  explicit SharedSequences(std::vector<traffic::DemandSequence> sequences);
+
+  std::size_t size() const { return data_ ? data_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  const traffic::DemandSequence& operator[](std::size_t i) const {
+    return (*data_)[i];
+  }
+  const traffic::DemandSequence& front() const { return data_->front(); }
+  const_iterator begin() const { return data_ ? data_->data() : nullptr; }
+  const_iterator end() const { return begin() + size(); }
+
+ private:
+  std::shared_ptr<const std::vector<traffic::DemandSequence>> data_;
+};
+
 struct Scenario {
   graph::DiGraph graph;
-  std::vector<traffic::DemandSequence> train_sequences;
-  std::vector<traffic::DemandSequence> test_sequences;
+  SharedSequences train_sequences;
+  SharedSequences test_sequences;
   // Normalisation divisor for per-node demand-sum observation features
   // (paper §V-B: inputs are normalised); derived by make_* helpers.
   double node_feature_scale = 1.0;

@@ -12,7 +12,7 @@
 namespace gddr::nn {
 
 void Tape::check_var(Var v, const char* op) const {
-  if (!v.valid() || static_cast<size_t>(v.id) >= nodes_.size()) {
+  if (!v.valid() || static_cast<size_t>(v.id) >= live_) {
     throw std::invalid_argument(std::string(op) + ": invalid Var");
   }
 }
@@ -27,20 +27,26 @@ void Tape::check_same_shape(Var a, Var b, const char* op) const {
   }
 }
 
+Tape::Node& Tape::next_node() {
+  if (live_ == nodes_.size()) nodes_.push_back(std::make_unique<Node>());
+  return *nodes_[live_++];
+}
+
 Tape::Var Tape::push(Tensor value, std::function<void(Tape&, int)> backward_fn) {
-  Node n;
+  Node& n = next_node();
   n.value = std::move(value);
   n.backward_fn = std::move(backward_fn);
-  nodes_.push_back(std::move(n));
-  return Var{static_cast<int>(nodes_.size()) - 1};
+  return Var{static_cast<int>(live_) - 1};
 }
 
 void Tape::reset() {
-  for (Node& n : nodes_) {
+  for (std::size_t i = 0; i < live_; ++i) {
+    Node& n = *nodes_[i];
     if (n.value.capacity() != 0) arena_.release(std::move(n.value));
     if (n.grad.capacity() != 0) arena_.release(std::move(n.grad));
+    n = Node();
   }
-  nodes_.clear();
+  live_ = 0;
   retained_.clear();
   if (obs::enabled()) {
     obs::gauge("nn/arena_bytes", static_cast<double>(arena_.bytes_allocated()));
@@ -55,11 +61,11 @@ Tape::Var Tape::constant(const Tensor& value) {
 Tape::Var Tape::zeros(int rows, int cols) { return push(alloc(rows, cols), {}); }
 
 Tape::Var Tape::leaf(Parameter& p) {
-  Node n;
-  n.value = alloc_copy(p.value);
+  Tensor value = alloc_copy(p.value);
+  Node& n = next_node();
+  n.value = std::move(value);
   n.parameter = &p;
-  nodes_.push_back(std::move(n));
-  return Var{static_cast<int>(nodes_.size()) - 1};
+  return Var{static_cast<int>(live_) - 1};
 }
 
 // ---------- binary elementwise ----------
@@ -755,14 +761,15 @@ void Tape::backward(Var loss) {
   }
   // Recycle buffers from any previous backward instead of zero-filling
   // them, so only nodes this pass actually reaches get (re)acquired.
-  for (auto& n : nodes_) {
+  for (std::size_t i = 0; i < live_; ++i) {
+    Node& n = *nodes_[i];
     if (n.grad.capacity() != 0) arena_.release(std::move(n.grad));
     n.grad = Tensor();
   }
   const std::size_t allocs_before = grad_allocs_;
   grad_of(loss.id).at(0, 0) = 1.0F;
   for (int i = loss.id; i >= 0; --i) {
-    Node& n = nodes_[static_cast<size_t>(i)];
+    Node& n = *nodes_[static_cast<size_t>(i)];
     // No consumer propagated into node i: its gradient is zero, and
     // pushing zeros further upstream would change nothing.
     if (!n.grad.same_shape(n.value)) continue;
@@ -774,7 +781,8 @@ void Tape::backward(Var loss) {
   // Grad-shape agreement over the whole tape: every gradient this pass
   // allocated must mirror its node's value shape exactly.
   GDDR_VALIDATE([&] {
-    for (const Node& n : nodes_) {
+    for (std::size_t i = 0; i < live_; ++i) {
+      const Node& n = *nodes_[i];
       if (n.grad.rows() == 0 && n.grad.cols() == 0) continue;
       check_grad_shape(n.value, n.grad, "nn/tape/grad-shape");
     }

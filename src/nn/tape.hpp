@@ -141,6 +141,7 @@ class Tape {
   Var sum_cols(Var x);  // NxC -> Nx1
 
   // --- execution ---
+  // The reference stays valid while later ops are recorded, until reset().
   const Tensor& value(Var v) const;
   // Seeds d(loss)/d(loss) = 1 (loss must be 1x1) and propagates backward
   // through the whole tape, accumulating into Parameter::grad for leaves.
@@ -148,7 +149,7 @@ class Tape {
   // Gradient of the last backward() with respect to node v.
   const Tensor& grad(Var v) const;
 
-  std::size_t num_nodes() const { return nodes_.size(); }
+  std::size_t num_nodes() const { return live_; }
   // Gradient buffers allocated over this tape's lifetime.  Grads are
   // allocated lazily on first write, so a forward-only tape (e.g. every
   // rollout step) reports 0 here no matter how many nodes it records.
@@ -175,8 +176,8 @@ class Tape {
     std::function<void(Tape&, int self)> backward_fn;
   };
 
-  Node& node(Var v) { return nodes_[static_cast<size_t>(v.id)]; }
-  const Node& node(Var v) const { return nodes_[static_cast<size_t>(v.id)]; }
+  Node& node(Var v) { return *nodes_[static_cast<size_t>(v.id)]; }
+  const Node& node(Var v) const { return *nodes_[static_cast<size_t>(v.id)]; }
   // Every gradient write goes through here, so allocation can be deferred
   // to the first consumer that actually propagates into node `id`.
   Tensor& grad_of(int id) {
@@ -187,7 +188,7 @@ class Tape {
     GDDR_INVARIANT(active_backward_node_ < 0 || id <= active_backward_node_,
                    "nn/tape/node-order", "id", id, "active",
                    active_backward_node_);
-    Node& n = nodes_[static_cast<size_t>(id)];
+    Node& n = *nodes_[static_cast<size_t>(id)];
     if (!n.grad.same_shape(n.value)) {
       n.grad = arena_.acquire(n.value.rows(), n.value.cols());
       ++grad_allocs_;
@@ -195,18 +196,25 @@ class Tape {
     return n.grad;
   }
   const Tensor& value_of(int id) const {
-    return nodes_[static_cast<size_t>(id)].value;
+    return nodes_[static_cast<size_t>(id)]->value;
   }
 
   // Arena shorthands every op allocates through.
   Tensor alloc(int rows, int cols) { return arena_.acquire(rows, cols); }
   Tensor alloc_copy(const Tensor& src) { return arena_.acquire_copy(src); }
 
+  // The next unused Node, appended to the recorded ones.
+  Node& next_node();
   Var push(Tensor value, std::function<void(Tape&, int)> backward_fn);
   void check_var(Var v, const char* op) const;
   void check_same_shape(Var a, Var b, const char* op) const;
 
-  std::vector<Node> nodes_;
+  // Recorded nodes are nodes_[0, live_).  Each Node keeps one heap address
+  // for the tape's lifetime, so value()/grad() references survive later
+  // recording, and reset() keeps the Node objects for the next pass: a
+  // steady-state pass allocates no Node.
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::size_t live_ = 0;
   // Keeps shared index vectors / segment plans alive for the closures that
   // capture them by raw pointer (raw captures keep the closures inside
   // std::function's small-buffer optimisation — no per-node allocation).

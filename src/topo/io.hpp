@@ -13,6 +13,10 @@
 //     edge 3 4 2480        # single directed edge
 //     # comments and blank lines are ignored
 //
+// The loader is strict: a token left over on any line, a repeated `name`
+// or `nodes`, and a directed pair given twice (by `link` or `edge`) are
+// errors, so a typo cannot silently change the graph.
+//
 #pragma once
 
 #include <iosfwd>
@@ -24,6 +28,9 @@ namespace gddr::topo {
 
 // Writes `g` in the format above (directed edges that pair up into
 // equal-capacity bidirectional links are emitted as one `link` line).
+// Throws util::IoError, writing nothing, for a graph the loader would
+// reject: a name holding whitespace or starting with '#', or a repeated
+// directed pair.
 void save_topology(std::ostream& os, const graph::DiGraph& g);
 void save_topology_file(const std::string& path, const graph::DiGraph& g);
 

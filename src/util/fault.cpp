@@ -1,9 +1,9 @@
 #include "util/fault.hpp"
 
 #include <cstdlib>
-#include <stdexcept>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace gddr::util {
 namespace {
@@ -42,14 +42,8 @@ FaultSite site_from_name(const std::string& name, const std::string& entry) {
 }
 
 long parse_long(const std::string& text, const std::string& entry) {
-  std::size_t used = 0;
   long value = 0;
-  try {
-    value = std::stol(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != text.size() || value <= 0) {
+  if (!parse_number(text, value) || value <= 0) {
     throw IoError("FaultInjector: bad count/seed token '" + text +
                   "' in entry '" + entry + "'");
   }
@@ -71,8 +65,8 @@ void FaultInjector::arm(const std::string& spec) {
   Schedule parsed[static_cast<int>(FaultSite::kSiteCount)];
   bool any = false;
 
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
+  // Every comma separates two clauses, so "a@1," holds an empty one.
+  for (std::size_t pos = 0; !spec.empty() && pos <= spec.size();) {
     std::size_t comma = spec.find(',', pos);
     if (comma == std::string::npos) comma = spec.size();
     const std::string entry = spec.substr(pos, comma - pos);
@@ -108,13 +102,9 @@ void FaultInjector::arm(const std::string& spec) {
       }
       schedule.mode = Mode::kProbability;
       const std::string prob = rest.substr(0, slash);
-      std::size_t used = 0;
-      try {
-        schedule.p = std::stod(prob, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      if (used != prob.size() || schedule.p < 0.0 || schedule.p > 1.0) {
+      // Negated so that NaN fails too.
+      if (!parse_number(prob, schedule.p) ||
+          !(schedule.p >= 0.0 && schedule.p <= 1.0)) {
         throw IoError("FaultInjector: bad probability token '" + prob +
                       "' (need [0,1]) in entry '" + entry + "'");
       }

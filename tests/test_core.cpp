@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <set>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/evaluate.hpp"
 #include "core/iterative_env.hpp"
@@ -80,6 +83,83 @@ std::vector<Scenario> tiny_scenarios(std::uint64_t seed) {
   scenarios.push_back(
       make_scenario(topo::by_name("SmallRing"), tiny_params(), rng));
   return scenarios;
+}
+
+// ---------------- shared traffic ----------------
+
+// The handle gives read access only, so no copy of a Scenario can change
+// the traffic that the other copies read.
+static_assert(
+    std::is_same_v<decltype(std::declval<SharedSequences&>()[0]),
+                   const traffic::DemandSequence&>);
+static_assert(
+    std::is_same_v<decltype(std::declval<SharedSequences&>().front()),
+                   const traffic::DemandSequence&>);
+static_assert(
+    std::is_same_v<decltype(*std::declval<SharedSequences&>().begin()),
+                   const traffic::DemandSequence&>);
+
+const traffic::DemandMatrix* first_train_matrix(const Scenario& s) {
+  return &s.train_sequences[0][0];
+}
+
+TEST(SharedTraffic, EmptyHandleAllocatesNothing) {
+  const SharedSequences empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.size(), 0U);
+  EXPECT_EQ(empty.begin(), nullptr);
+  EXPECT_EQ(empty.begin(), empty.end());
+  EXPECT_EQ(SharedSequences(std::vector<traffic::DemandSequence>{}).begin(),
+            nullptr);
+  ScenarioParams params = tiny_params();
+  params.test_sequences = 0;
+  util::Rng rng(6);
+  const Scenario s = make_scenario(topo::by_name("SmallRing"), params, rng);
+  EXPECT_EQ(s.test_sequences.begin(), nullptr);
+  EXPECT_EQ(s.train_sequences.size(), 2U);
+}
+
+TEST(SharedTraffic, ScenarioCopiesShareSequences) {
+  const std::vector<Scenario> scenarios = tiny_scenarios(5);
+  const Scenario copy = scenarios[0];
+  EXPECT_EQ(first_train_matrix(copy), first_train_matrix(scenarios[0]));
+  EXPECT_EQ(&copy.test_sequences[0][0], &scenarios[0].test_sequences[0][0]);
+  // Iteration walks the same storage as indexing.
+  EXPECT_EQ(&*copy.train_sequences.begin(), &scenarios[0].train_sequences[0]);
+  EXPECT_EQ(copy.train_sequences.end() - copy.train_sequences.begin(), 2);
+}
+
+TEST(SharedTraffic, VecEnvsShareTheCallersSequences) {
+  const std::vector<Scenario> scenarios = tiny_scenarios(5);
+  const auto envs = make_vec_envs(scenarios, tiny_env_config(), 3, 4);
+  ASSERT_EQ(envs.size(), 4U);
+  for (const auto& env : envs) {
+    EXPECT_EQ(first_train_matrix(env->current_scenario()),
+              first_train_matrix(scenarios[0]));
+  }
+}
+
+TEST(SharedTraffic, RoutingEnvCopySharesSequences) {
+  const std::vector<Scenario> scenarios = tiny_scenarios(5);
+  RoutingEnv env(scenarios, tiny_env_config(), 1);
+  (void)env.reset();
+  // evaluate_policy hands each worker a copy like this one.
+  RoutingEnv copy = env;
+  copy.set_mode(RoutingEnv::Mode::kTest);
+  EXPECT_EQ(first_train_matrix(copy.current_scenario()),
+            first_train_matrix(scenarios[0]));
+}
+
+TEST(SharedTraffic, IterativeEnvCopySharesSequences) {
+  const std::vector<Scenario> scenarios = tiny_scenarios(5);
+  IterativeEnvConfig config;
+  config.memory = 3;
+  IterativeRoutingEnv env(scenarios, config, 1);
+  (void)env.reset();
+  IterativeRoutingEnv copy = env;
+  copy.set_mode(IterativeRoutingEnv::Mode::kTest);
+  EXPECT_EQ(first_train_matrix(copy.current_scenario()),
+            first_train_matrix(scenarios[0]));
 }
 
 TEST(RoutingEnv, ObservationShapes) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -176,6 +177,102 @@ TEST(FaultInjector, MalformedSpecErrorsNameTheOffendingToken) {
 
   // A failed arm never leaves a partial schedule armed.
   EXPECT_FALSE(FaultInjector::instance().enabled());
+}
+
+TEST(FaultInjector, TrailingCommaIsAnEmptyClause) {
+  FaultGuard guard;
+  const std::string msg = arm_error("lp_solve@1,");
+  EXPECT_NE(msg.find("empty clause"), std::string::npos) << msg;
+  EXPECT_FALSE(FaultInjector::instance().enabled());
+}
+
+TEST(FaultInjector, NanProbabilityRejected) {
+  FaultGuard guard;
+  const std::string msg = arm_error("policy_nan~nan/1");
+  EXPECT_NE(msg.find("bad probability token 'nan'"), std::string::npos) << msg;
+  EXPECT_FALSE(FaultInjector::instance().enabled());
+}
+
+TEST(FaultInjector, WhitespaceInsideATokenRejected) {
+  FaultGuard guard;
+  const std::string msg = arm_error("lp_solve@ 1");
+  EXPECT_NE(msg.find("bad count/seed token ' 1'"), std::string::npos) << msg;
+  for (const char* spec : {"lp_solve@1 ", "lp_solve@+1", "lp_solve~ 0.5/1",
+                           "lp_solve~0.5/ 1", "lp_solve~0.5/+1"}) {
+    EXPECT_THROW(FaultInjector::instance().arm(spec), util::IoError) << spec;
+  }
+  EXPECT_FALSE(FaultInjector::instance().enabled());
+}
+
+// Deterministic mutation `seed` of a valid spec: byte flips, truncations
+// and inserted separators.
+std::string mutate_spec(const std::string& original, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_index(n));
+  };
+  std::string text = original;
+  switch (seed % 3) {
+    case 0: {  // byte flips anywhere
+      const auto flips = rng.uniform_int(1, 3);
+      for (std::int64_t i = 0; i < flips; ++i) {
+        text[pick(text.size())] ^= static_cast<char>(rng.uniform_int(1, 255));
+      }
+      break;
+    }
+    case 1:  // truncation
+      text.resize(pick(text.size() + 1));
+      break;
+    default: {  // inserted separators and signs
+      static const std::string separators = ",@~/+- .";
+      const auto n = rng.uniform_int(1, 3);
+      for (std::int64_t i = 0; i < n; ++i) {
+        text.insert(pick(text.size() + 1), 1,
+                    separators[pick(separators.size())]);
+      }
+      break;
+    }
+  }
+  return text;
+}
+
+// Every mutated spec either arms or throws util::IoError; nothing else
+// escapes, and an armed spec fires deterministically.
+TEST(FaultInjector, MutatedSpecsArmOrThrowIoError) {
+  FaultGuard guard;
+  auto& injector = FaultInjector::instance();
+  int armed = 0;
+  int rejected = 0;
+  for (const char* spec :
+       {"lp_solve@3", "nan_grad@2+", "ckpt_write~0.25/42",
+        "policy_nan@1,policy_slow@2,topo_change@1,request_garbage@1+",
+        "lp_solve@1+,candidate_nan~1/7"}) {
+    for (std::uint64_t seed = 0; seed < 600; ++seed) {
+      const std::string mutated = mutate_spec(spec, seed);
+      try {
+        std::vector<bool> fired[2];
+        for (std::vector<bool>& run : fired) {
+          injector.arm(mutated);
+          for (int i = 0; i < 4; ++i) {
+            run.push_back(util::inject(FaultSite::kLpSolve));
+          }
+        }
+        EXPECT_EQ(fired[0], fired[1]) << mutated;
+        ++armed;
+      } catch (const util::IoError&) {
+        ++rejected;
+      } catch (const std::exception& ex) {
+        ADD_FAILURE() << "spec '" << mutated << "': non-IoError " << ex.what();
+      }
+    }
+  }
+  // Both outcomes occur: a flipped site letter or a torn token is
+  // rejected, while some truncations ("lp_solve@3" -> "") and
+  // digit-to-digit flips still arm.  The strict parser rejects 2828 of
+  // the 3000 (the one before it, which let a trailing comma, a NaN
+  // probability or a space inside a number through, rejected 2804).
+  EXPECT_GT(armed, 100);
+  EXPECT_GT(rejected, 2810);
 }
 
 TEST(FaultInjector, ServingSitesParseAndFire) {

@@ -1152,6 +1152,46 @@ TEST(ChecksumTrailer, CorruptTrailerMetadataIsRejected) {
 // allocated eagerly for every node (including forward-only tapes, i.e.
 // every rollout step) and re-zero-filled wholesale on each backward.
 
+// A value() or grad() reference stays valid while more ops are recorded:
+// each node keeps one address for the tape's lifetime.  Storing nodes by
+// value in a growing vector left the reference dangling at the first
+// reallocation (AddressSanitizer reports a heap-use-after-free).
+TEST(Tape, ValueAndGradReferencesSurviveLaterOps) {
+  Parameter p(Tensor::row({1.5F, -2.0F}));
+  Tape tape;
+  const Var x = tape.leaf(p);
+  const Var loss = tape.sum_all(tape.square(x));
+  tape.backward(loss);
+  const Tensor& value = tape.value(x);
+  const Tensor& grad = tape.grad(x);
+  Var y = x;
+  for (int i = 0; i < 10000; ++i) y = tape.add_scalar(y, 0.0F);
+  EXPECT_EQ(tape.num_nodes(), 10003U);
+  EXPECT_EQ(value.at(0, 0), 1.5F);
+  EXPECT_EQ(value.at(0, 1), -2.0F);
+  EXPECT_EQ(grad.at(0, 0), 3.0F);
+  EXPECT_EQ(grad.at(0, 1), -4.0F);
+  EXPECT_EQ(tape.value(y).at(0, 1), -2.0F);
+}
+
+// reset() keeps the nodes for the next pass, which must see none of the
+// previous pass's state: no stale gradient, parameter or closure.
+TEST(Tape, ReusedNodesStartClean) {
+  Parameter p(Tensor::row({1.0F, 2.0F}));
+  Tape tape;
+  tape.backward(tape.sum_all(tape.square(tape.leaf(p))));
+  EXPECT_EQ(p.grad.at(0, 1), 4.0F);
+  tape.reset();
+  p.zero_grad();
+  const Var c = tape.constant(Tensor::row({3.0F, 5.0F}));
+  const Var loss = tape.sum_all(c);
+  tape.backward(loss);
+  EXPECT_EQ(tape.num_nodes(), 2U);
+  EXPECT_EQ(tape.grad(c).at(0, 0), 1.0F);
+  EXPECT_EQ(p.grad.at(0, 0), 0.0F);
+  EXPECT_EQ(p.grad.at(0, 1), 0.0F);
+}
+
 TEST(TapeLazyGrad, ForwardOnlyTapeAllocatesNothing) {
   util::Rng rng(31);
   MlpConfig cfg;

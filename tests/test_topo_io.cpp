@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "topo/generators.hpp"
 #include "topo/io.hpp"
+#include "topo/mutate.hpp"
 #include "topo/zoo.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -141,6 +143,104 @@ TEST(TopologyIo, NodeCountAboveBoundRejected) {
   EXPECT_EQ(load_topology(ss).num_nodes(), kMaxTopologyNodes);
 }
 
+// Requires load_topology(text) to throw util::IoError naming `line`.
+void expect_rejected_at(const std::string& text, int line) {
+  std::stringstream ss(text);
+  try {
+    (void)load_topology(ss);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const util::IoError& ex) {
+    EXPECT_NE(std::string(ex.what()).find("line " + std::to_string(line)),
+              std::string::npos)
+        << ex.what();
+  }
+}
+
+TEST(TopologyIo, TrailingTokensRejected) {
+  std::stringstream ss("gddr-topology v1\nnodes 3 999\nlink 0 1 10\n");
+  try {
+    (void)load_topology(ss);
+    FAIL() << "trailing count accepted";
+  } catch (const util::IoError& ex) {
+    EXPECT_NE(std::string(ex.what()).find("line 2: unexpected token '999'"),
+              std::string::npos)
+        << ex.what();
+  }
+  expect_rejected_at("gddr-topology v1\nnodes 3\nlink 0 1 10 junk\n", 3);
+  expect_rejected_at("gddr-topology v1\nnodes 3\nedge 0 1 10 20\n", 3);
+  expect_rejected_at("gddr-topology v1\nname two words\nnodes 3\n", 2);
+  expect_rejected_at("gddr-topology v1 extra\nnodes 3\n", 1);
+  expect_rejected_at("gddr-topology v1\nnodes 3\nlink 0 1 10x\n", 3);
+}
+
+TEST(TopologyIo, RepeatedDirectedPairRejected) {
+  expect_rejected_at(
+      "gddr-topology v1\nnodes 3\nlink 1 2 10\nlink 0 1 10\nlink 1 2 10\n",
+      5);
+  // A link repeats each direction of an earlier edge, and vice versa.
+  expect_rejected_at("gddr-topology v1\nnodes 3\nedge 2 1 10\nlink 1 2 10\n",
+                     4);
+  expect_rejected_at("gddr-topology v1\nnodes 3\nlink 1 2 10\nedge 1 2 5\n",
+                     4);
+  // Opposite directions are two different pairs.
+  std::stringstream ss("gddr-topology v1\nnodes 3\nedge 1 2 10\nedge 2 1 5\n");
+  EXPECT_EQ(load_topology(ss).num_edges(), 2);
+}
+
+TEST(TopologyIo, RepeatedDeclarationsRejected) {
+  expect_rejected_at("gddr-topology v1\nnodes 3\nnodes 4\n", 3);
+  expect_rejected_at("gddr-topology v1\nname A\nnodes 3\nname B\n", 4);
+}
+
+TEST(TopologyIo, CommentAfterTokensIgnored) {
+  std::stringstream ss(
+      "gddr-topology v1  # format header\n"
+      "nodes 2\t# two routers\n"
+      "link 0 1 10 # bidirectional\n");
+  const graph::DiGraph g = load_topology(ss);
+  EXPECT_EQ(g.num_nodes(), 2);
+  EXPECT_EQ(g.num_edges(), 2);
+}
+
+TEST(TopologyIo, GeneratedGraphsRoundTrip) {
+  util::Rng rng(17);
+  std::vector<graph::DiGraph> graphs;
+  for (int i = 0; i < 4; ++i) {
+    graphs.push_back(erdos_renyi(12 + i, 0.3, rng));
+    graphs.push_back(watts_strogatz(14 + i, 4, 0.3, rng));
+    graphs.push_back(barabasi_albert(20 + 10 * i, 2, rng));
+    graphs.push_back(topo::mutate(abilene(), 1 + i % 2, rng));
+  }
+  for (const graph::DiGraph& original : graphs) {
+    std::stringstream ss;
+    save_topology(ss, original);
+    const graph::DiGraph loaded = load_topology(ss);
+    ASSERT_EQ(loaded.num_edges(), original.num_edges()) << original.name();
+    EXPECT_EQ(loaded.num_nodes(), original.num_nodes());
+    EXPECT_EQ(loaded.name(), original.name());
+    for (const graph::Edge& e : original.edges()) {
+      const auto found = loaded.find_edge(e.src, e.dst);
+      ASSERT_TRUE(found.has_value()) << original.name();
+      EXPECT_EQ(loaded.edge(*found).capacity, e.capacity);
+    }
+  }
+}
+
+TEST(TopologyIo, SaveRejectsWhatLoadWouldReject) {
+  for (const char* name : {"two words", "tab\tname", "#hash"}) {
+    graph::DiGraph g(2, name);
+    g.add_bidirectional(0, 1, 10.0);
+    std::stringstream ss;
+    EXPECT_THROW(save_topology(ss, g), util::IoError) << name;
+    EXPECT_TRUE(ss.str().empty()) << name;
+  }
+  graph::DiGraph parallel(2, "parallel");
+  parallel.add_edge(0, 1, 10.0);
+  parallel.add_edge(0, 1, 20.0);
+  std::stringstream ss;
+  EXPECT_THROW(save_topology(ss, parallel), util::IoError);
+}
+
 // Deterministic mutation `seed` of a saved topology file: byte flips,
 // truncations, inserted digits and keyword swaps.
 std::string mutate(const std::string& original, std::uint64_t seed) {
@@ -208,11 +308,14 @@ TEST(TopologyIo, MutatedFilesParseOrThrowIoError) {
         const graph::DiGraph g = load_topology(in);
         ++parsed;
         EXPECT_LE(g.num_nodes(), kMaxTopologyNodes) << name << " " << seed;
-        for (const graph::Edge& e : g.edges()) {
+        for (graph::EdgeId id = 0; id < g.num_edges(); ++id) {
+          const graph::Edge& e = g.edge(id);
           ASSERT_TRUE(g.valid_node(e.src) && g.valid_node(e.dst))
               << name << " " << seed;
           ASSERT_NE(e.src, e.dst) << name << " " << seed;
           ASSERT_GT(e.capacity, 0.0) << name << " " << seed;
+          // No parallel pair: the first edge from src to dst is this one.
+          ASSERT_EQ(g.find_edge(e.src, e.dst), id) << name << " " << seed;
         }
       } catch (const util::IoError&) {
         ++rejected;
@@ -223,9 +326,11 @@ TEST(TopologyIo, MutatedFilesParseOrThrowIoError) {
     }
   }
   // Both outcomes occur: flips inside names and comments, and trailing
-  // truncations, still parse.
-  EXPECT_GT(parsed, 100);
-  EXPECT_GT(rejected, 300);
+  // truncations, still parse.  The strict parser rejects 924 of the 1200
+  // (the lenient one before it, which ignored trailing tokens and
+  // repeated links, rejected 833).
+  EXPECT_GT(parsed, 200);
+  EXPECT_GT(rejected, 850);
 }
 
 }  // namespace
