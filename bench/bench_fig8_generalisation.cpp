@@ -14,7 +14,6 @@
 // graphs" bars because softmin routing is further from the multipath
 // optimum on some of those structures.
 #include <cstdio>
-#include <memory>
 
 #include "core/evaluate.hpp"
 #include "obs/sink.hpp"
@@ -70,14 +69,8 @@ SetResult run_set(const std::vector<Scenario>& scenarios, int memory,
     const long steps = bench_train_steps(6000) * 2;
     IterativeEnvConfig env_cfg;
     env_cfg.memory = memory;
-    // Vectorised by hand (no make_vec_envs overload): env i seeded
-    // seed_base+3+i, all sharing env 0's LP cache.
-    std::vector<std::unique_ptr<IterativeRoutingEnv>> envs;
-    for (int i = 0; i < kVecEnvs; ++i) {
-      envs.push_back(std::make_unique<IterativeRoutingEnv>(
-          scenarios, env_cfg, seed_base + 3 + static_cast<std::uint64_t>(i)));
-      if (i > 0) envs.back()->set_shared_cache(envs.front()->shared_cache());
-    }
+    const auto envs = make_vec_envs<IterativeRoutingEnv>(
+        scenarios, env_cfg, seed_base + 3, kVecEnvs);
     std::vector<rl::Env*> env_ptrs;
     for (const auto& env : envs) env_ptrs.push_back(env.get());
     util::Rng prng(seed_base + 4);

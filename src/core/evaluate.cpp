@@ -33,9 +33,11 @@ EvalResult merge_units(const std::vector<std::vector<double>>& unit_ratios,
   return finish(stat, episodes);
 }
 
-template <typename EnvT>
-EvalResult evaluate_policy_impl(rl::PpoTrainer& trainer, EnvT& env,
-                                util::ThreadPool* pool) {
+}  // namespace
+
+template <class Env>
+EvalResult evaluate_policy(rl::PpoTrainer& trainer, Env& env,
+                           util::ThreadPool* pool) {
   // Workers evaluate on copies: the caller may be mid-rollout on `env`,
   // and driving episodes through the trainer's live environment would
   // desynchronise the trainer's cached observation from the env state.
@@ -55,8 +57,8 @@ EvalResult evaluate_policy_impl(rl::PpoTrainer& trainer, EnvT& env,
   // deterministic (no RNG), so each unit's trajectory depends only on the
   // unit index and the policy — not on the worker that ran it.
   util::parallel_for(pool, workers, [&](std::size_t w) {
-    EnvT eval_env = env;
-    eval_env.set_mode(EnvT::Mode::kTest);
+    Env eval_env = env;
+    eval_env.set_mode(Env::Mode::kTest);
     for (std::size_t unit = w; unit < units; unit += workers) {
       eval_env.seek_test_unit(unit);
       const int episodes = eval_env.episodes_in_unit(unit);
@@ -80,17 +82,10 @@ EvalResult evaluate_policy_impl(rl::PpoTrainer& trainer, EnvT& env,
   return merge_units(unit_ratios, episodes);
 }
 
-}  // namespace
-
-EvalResult evaluate_policy(rl::PpoTrainer& trainer, RoutingEnv& env,
-                           util::ThreadPool* pool) {
-  return evaluate_policy_impl(trainer, env, pool);
-}
-
-EvalResult evaluate_policy(rl::PpoTrainer& trainer, IterativeRoutingEnv& env,
-                           util::ThreadPool* pool) {
-  return evaluate_policy_impl(trainer, env, pool);
-}
+template EvalResult evaluate_policy(rl::PpoTrainer&, RoutingEnv&,
+                                    util::ThreadPool*);
+template EvalResult evaluate_policy(rl::PpoTrainer&, IterativeRoutingEnv&,
+                                    util::ThreadPool*);
 
 EvalResult evaluate_fixed(
     const std::vector<Scenario>& scenarios, int memory,

@@ -29,11 +29,11 @@ struct EvalResult {
 };
 
 // Runs the trainer's deterministic policy over every test sequence of
-// every scenario in the environment.  The env itself is left untouched:
-// workers evaluate copies switched to test mode.
-EvalResult evaluate_policy(rl::PpoTrainer& trainer, RoutingEnv& env,
-                           util::ThreadPool* pool = nullptr);
-EvalResult evaluate_policy(rl::PpoTrainer& trainer, IterativeRoutingEnv& env,
+// every scenario in the environment, a RoutingEnv or an
+// IterativeRoutingEnv.  The env itself is left untouched: workers
+// evaluate copies switched to test mode.
+template <class Env>
+EvalResult evaluate_policy(rl::PpoTrainer& trainer, Env& env,
                            util::ThreadPool* pool = nullptr);
 
 // Evaluates a fixed (non-learned) routing scheme on the test sequences of

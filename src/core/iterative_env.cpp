@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "nn/serialize.hpp"
-#include "rl/checkpoint.hpp"
 #include "routing/routing.hpp"
 #include "util/error.hpp"
 
@@ -17,27 +16,17 @@ using rl::Observation;
 IterativeRoutingEnv::IterativeRoutingEnv(std::vector<Scenario> scenarios,
                                          IterativeEnvConfig config,
                                          std::uint64_t seed)
-    : scenarios_(std::move(scenarios)),
+    : cursor_(std::move(scenarios), config.memory, seed,
+              "IterativeRoutingEnv"),
       config_(config),
-      rng_(seed),
       cache_(std::make_shared<mcf::OptimalCache>()) {
-  if (scenarios_.empty()) {
-    throw std::invalid_argument("IterativeRoutingEnv: no scenarios");
-  }
-  for (const auto& s : scenarios_) {
-    if (s.train_sequences.empty() || s.test_sequences.empty()) {
-      throw std::invalid_argument(
-          "IterativeRoutingEnv: scenario missing sequences");
-    }
-  }
   if (!(config_.min_gamma > 0.0) || !(config_.max_gamma > config_.min_gamma)) {
     throw std::invalid_argument("IterativeRoutingEnv: bad gamma range");
   }
 }
 
 void IterativeRoutingEnv::set_mode(Mode mode) {
-  mode_ = mode;
-  test_cursor_ = 0;
+  cursor_.set_mode(mode);
   in_sequence_ = false;  // next reset starts a fresh sequence
 }
 
@@ -50,55 +39,13 @@ void IterativeRoutingEnv::set_shared_cache(
   cache_ = std::move(cache);
 }
 
-const Scenario& IterativeRoutingEnv::current_scenario() const {
-  return scenarios_[scenario_idx_];
-}
-
-const graph::DiGraph& IterativeRoutingEnv::current_graph() const {
-  return current_scenario().graph;
-}
-
-std::size_t IterativeRoutingEnv::num_test_episodes() const {
-  // One episode per demand matrix of every test sequence.
-  std::size_t total = 0;
-  for (const auto& s : scenarios_) {
-    for (const auto& seq : s.test_sequences) {
-      total += seq.size() - static_cast<size_t>(config_.memory);
-    }
-  }
-  return total;
-}
-
-std::size_t IterativeRoutingEnv::num_test_units() const {
-  std::size_t total = 0;
-  for (const auto& s : scenarios_) total += s.test_sequences.size();
-  return total;
-}
-
 int IterativeRoutingEnv::episodes_in_unit(std::size_t unit) const {
-  std::size_t idx = unit % num_test_units();
-  for (const auto& s : scenarios_) {
-    if (idx < s.test_sequences.size()) {
-      return static_cast<int>(s.test_sequences[idx].size()) - config_.memory;
-    }
-    idx -= s.test_sequences.size();
-  }
-  return 0;  // unreachable: idx was reduced modulo num_test_units()
+  return static_cast<int>(cursor_.test_unit(unit).size()) - config_.memory;
 }
 
 void IterativeRoutingEnv::seek_test_unit(std::size_t unit) {
-  if (mode_ != Mode::kTest) {
-    throw std::logic_error(
-        "IterativeRoutingEnv::seek_test_unit: requires kTest mode");
-  }
-  test_cursor_ = unit % num_test_units();
+  cursor_.seek_test_unit(unit);
   in_sequence_ = false;  // next reset() starts the sought unit afresh
-}
-
-const traffic::DemandSequence& IterativeRoutingEnv::current_sequence() const {
-  const Scenario& s = current_scenario();
-  return mode_ == Mode::kTrain ? s.train_sequences[sequence_idx_]
-                               : s.test_sequences[sequence_idx_];
 }
 
 double IterativeRoutingEnv::map_gamma(double a) const {
@@ -108,16 +55,10 @@ double IterativeRoutingEnv::map_gamma(double a) const {
   return std::exp(log_lo + (x + 1.0) * 0.5 * (log_hi - log_lo));
 }
 
-void IterativeRoutingEnv::start_dm_step() {
-  edge_cursor_ = 0;
-  pending_weights_.assign(
-      static_cast<size_t>(current_graph().num_edges()), 0.0);
-}
-
 Observation IterativeRoutingEnv::build_iterative_observation() const {
   // Base observation: demand history for the DM about to be routed.
   Observation obs = RoutingEnv::build_observation(
-      scenarios_[scenario_idx_], current_sequence(), t_, config_.memory);
+      current_scenario(), cursor_.sequence(), t_, config_.memory);
   // Edge attributes per Eq. 6 — (weight_i, set_i, target_i) — plus the
   // normalised link capacity carried over from the base observation (see
   // RoutingEnv::build_observation for why capacity must be visible).
@@ -140,26 +81,12 @@ Observation IterativeRoutingEnv::reset() {
   // Episodes are per demand matrix; only pick a new (scenario, sequence)
   // once the current sequence has been exhausted.
   if (!in_sequence_) {
-    if (mode_ == Mode::kTrain) {
-      scenario_idx_ = rng_.uniform_index(scenarios_.size());
-      sequence_idx_ = rng_.uniform_index(
-          scenarios_[scenario_idx_].train_sequences.size());
-    } else {
-      std::size_t total = 0;
-      for (const auto& s : scenarios_) total += s.test_sequences.size();
-      std::size_t idx = test_cursor_ % total;
-      scenario_idx_ = 0;
-      while (idx >= scenarios_[scenario_idx_].test_sequences.size()) {
-        idx -= scenarios_[scenario_idx_].test_sequences.size();
-        ++scenario_idx_;
-      }
-      sequence_idx_ = idx;
-      test_cursor_ = (test_cursor_ + 1) % total;
-    }
+    cursor_.advance();
     t_ = config_.memory;
     in_sequence_ = true;
   }
-  start_dm_step();
+  edge_cursor_ = 0;
+  pending_weights_.assign(static_cast<size_t>(edges_per_step()), 0.0);
   return build_iterative_observation();
 }
 
@@ -169,9 +96,12 @@ rl::Env::StepResult IterativeRoutingEnv::step(std::span<const double> action) {
         "IterativeRoutingEnv::step: action must be (weight, gamma)");
   }
   const graph::DiGraph& g = current_graph();
-  if (t_ >= static_cast<int>(current_sequence().size())) {
+  const auto& seq = cursor_.sequence();
+  if (t_ < config_.memory || t_ >= static_cast<int>(seq.size()) ||
+      edge_cursor_ >= g.num_edges()) {
     throw std::logic_error(
-        "IterativeRoutingEnv::step: episode is over — call reset() first");
+        "IterativeRoutingEnv::step: no episode in progress — call reset() "
+        "first");
   }
   pending_weights_[static_cast<size_t>(edge_cursor_)] =
       std::clamp(action[0], -1.0, 1.0);
@@ -188,7 +118,6 @@ rl::Env::StepResult IterativeRoutingEnv::step(std::span<const double> action) {
 
   // Final iteration for this DM: translate and score (gamma read here,
   // paper Eq. 7).
-  const auto& seq = current_sequence();
   const auto& dm = seq[static_cast<size_t>(t_)];
   const std::vector<double> weights = routing::weights_from_actions(
       pending_weights_, config_.min_weight, config_.max_weight);
@@ -215,11 +144,7 @@ constexpr std::uint32_t kIterativeEnvStateVersion = 1;
 std::vector<std::uint8_t> IterativeRoutingEnv::save_state() const {
   std::ostringstream os;
   nn::write_pod(os, kIterativeEnvStateVersion);
-  rl::write_rng_state(os, rng_);
-  nn::write_pod(os, static_cast<std::uint8_t>(mode_ == Mode::kTest ? 1 : 0));
-  nn::write_pod(os, static_cast<std::uint64_t>(scenario_idx_));
-  nn::write_pod(os, static_cast<std::uint64_t>(sequence_idx_));
-  nn::write_pod(os, static_cast<std::uint64_t>(test_cursor_));
+  cursor_.write_state(os);
   nn::write_pod(os, static_cast<std::uint8_t>(in_sequence_ ? 1 : 0));
   nn::write_pod(os, static_cast<std::int32_t>(t_));
   nn::write_pod(os, static_cast<std::int32_t>(edge_cursor_));
@@ -239,20 +164,7 @@ void IterativeRoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
     throw util::IoError("unsupported IterativeRoutingEnv state version " +
                         std::to_string(version));
   }
-  util::Rng rng(0);
-  rl::read_rng_state(is, rng, "IterativeRoutingEnv rng");
-  const auto mode_flag =
-      nn::read_pod<std::uint8_t>(is, "IterativeRoutingEnv mode");
-  if (mode_flag > 1) {
-    throw util::IoError("corrupt value in field 'IterativeRoutingEnv mode'");
-  }
-  const Mode mode = mode_flag != 0 ? Mode::kTest : Mode::kTrain;
-  const auto scenario_idx =
-      nn::read_pod<std::uint64_t>(is, "IterativeRoutingEnv scenario index");
-  const auto sequence_idx =
-      nn::read_pod<std::uint64_t>(is, "IterativeRoutingEnv sequence index");
-  const auto test_cursor =
-      nn::read_pod<std::uint64_t>(is, "IterativeRoutingEnv test cursor");
+  const EpisodeCursor::State cursor = cursor_.read_state(is);
   const auto in_sequence_flag =
       nn::read_pod<std::uint8_t>(is, "IterativeRoutingEnv in_sequence");
   if (in_sequence_flag > 1) {
@@ -264,47 +176,25 @@ void IterativeRoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
       nn::read_pod<std::int32_t>(is, "IterativeRoutingEnv edge cursor");
   const auto pending_count = nn::read_pod<std::uint64_t>(
       is, "IterativeRoutingEnv pending weight count");
-  if (pending_count > (1ULL << 24)) {
-    throw util::IoError(
-        "implausible count in field 'IterativeRoutingEnv pending weight "
-        "count'");
+  cursor_.check_position(cursor, t);
+  // Every DM step from the first reset() on holds one weight per edge.
+  const auto edges =
+      t == 0 ? 0
+             : static_cast<std::uint64_t>(
+                   cursor_.scenario(cursor).graph.num_edges());
+  if (pending_count != edges) {
+    throw util::IoError("IterativeRoutingEnv pending weight count " +
+                        std::to_string(pending_count) + " does not match " +
+                        std::to_string(edges) + " at t " + std::to_string(t));
   }
   std::vector<double> pending(static_cast<std::size_t>(pending_count));
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    pending[i] =
-        nn::read_pod<double>(is, "IterativeRoutingEnv pending weights");
+  for (double& w : pending) {
+    w = nn::read_pod<double>(is, "IterativeRoutingEnv pending weights");
   }
   const auto last_ratio =
       nn::read_pod<double>(is, "IterativeRoutingEnv last ratio");
   if (is.peek() != std::istream::traits_type::eof()) {
     throw util::IoError("trailing bytes after IterativeRoutingEnv state");
-  }
-
-  if (scenario_idx >= scenarios_.size()) {
-    throw util::IoError("IterativeRoutingEnv scenario index " +
-                        std::to_string(scenario_idx) + " out of range (" +
-                        std::to_string(scenarios_.size()) + " scenarios)");
-  }
-  const Scenario& scenario = scenarios_[static_cast<std::size_t>(scenario_idx)];
-  const auto& sequences = mode == Mode::kTrain ? scenario.train_sequences
-                                               : scenario.test_sequences;
-  if (sequence_idx >= sequences.size()) {
-    throw util::IoError("IterativeRoutingEnv sequence index " +
-                        std::to_string(sequence_idx) + " out of range");
-  }
-  const auto seq_len =
-      static_cast<std::int32_t>(sequences[sequence_idx].size());
-  if (t < 0 || t > seq_len) {
-    throw util::IoError("IterativeRoutingEnv t " + std::to_string(t) +
-                        " out of range [0, " + std::to_string(seq_len) + "]");
-  }
-  const auto edges =
-      static_cast<std::uint64_t>(scenario.graph.num_edges());
-  if (pending_count != 0 && pending_count != edges) {
-    throw util::IoError(
-        "IterativeRoutingEnv pending weight count " +
-        std::to_string(pending_count) + " does not match scenario edges (" +
-        std::to_string(edges) + ")");
   }
   if (edge_cursor < 0 ||
       static_cast<std::uint64_t>(edge_cursor) > pending_count) {
@@ -312,11 +202,7 @@ void IterativeRoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
                         std::to_string(edge_cursor) + " out of range");
   }
 
-  rng_ = rng;
-  mode_ = mode;
-  scenario_idx_ = static_cast<std::size_t>(scenario_idx);
-  sequence_idx_ = static_cast<std::size_t>(sequence_idx);
-  test_cursor_ = static_cast<std::size_t>(test_cursor);
+  cursor_.restore(cursor);
   in_sequence_ = in_sequence_flag != 0;
   t_ = t;
   edge_cursor_ = edge_cursor;

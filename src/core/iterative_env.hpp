@@ -43,7 +43,8 @@ struct IterativeEnvConfig {
 
 class IterativeRoutingEnv final : public rl::Env {
  public:
-  using Mode = RoutingEnv::Mode;
+  using Config = IterativeEnvConfig;
+  using Mode = EpisodeCursor::Mode;
 
   IterativeRoutingEnv(std::vector<Scenario> scenarios,
                       IterativeEnvConfig config, std::uint64_t seed);
@@ -54,28 +55,27 @@ class IterativeRoutingEnv final : public rl::Env {
   StepResult step(std::span<const double> action) override;
   int action_dim() const override { return 2; }
 
-  // Checkpoint support (see RoutingEnv): adds the mid-DM micro-step
-  // position (edge cursor and pending weight vector) to the base state.
+  // Checkpoint support (see RoutingEnv): after the cursor's fields, the
+  // blob holds the mid-sequence flag and the micro-step position (DM
+  // index, edge cursor and pending weight vector).
   std::vector<std::uint8_t> save_state() const override;
   void restore_state(std::span<const std::uint8_t> blob) override;
 
   double last_ratio() const { return last_ratio_; }
-  const graph::DiGraph& current_graph() const;
-  const Scenario& current_scenario() const;
+  const graph::DiGraph& current_graph() const {
+    return current_scenario().graph;
+  }
+  const Scenario& current_scenario() const { return cursor_.scenario(); }
   // Micro-steps per demand-matrix timestep (= current |E|).
   int edges_per_step() const { return current_graph().num_edges(); }
-  Mode mode() const { return mode_; }
-  // Total (scenario, test sequence) pairs — one test episode each.
-  std::size_t num_test_episodes() const;
+  Mode mode() const { return cursor_.mode(); }
 
   // Parallel-evaluation support (see RoutingEnv): a test unit is one
   // (scenario, test sequence) pair; each unit spans several episodes here
   // (one per demand matrix).  seek_test_unit requires kTest mode.
-  std::size_t num_test_units() const;
+  std::size_t num_test_units() const { return cursor_.num_test_units(); }
   int episodes_in_unit(std::size_t unit) const;
   void seek_test_unit(std::size_t unit);
-
-  mcf::OptimalCache& cache() { return *cache_; }
 
   // See RoutingEnv: vectorised instances stepping the same scenarios can
   // share one internally-locked LP cache.
@@ -86,19 +86,12 @@ class IterativeRoutingEnv final : public rl::Env {
   double map_gamma(double a) const;
 
  private:
-  const traffic::DemandSequence& current_sequence() const;
   rl::Observation build_iterative_observation() const;
-  void start_dm_step();
 
-  std::vector<Scenario> scenarios_;
+  EpisodeCursor cursor_;
   IterativeEnvConfig config_;
-  util::Rng rng_;
   std::shared_ptr<mcf::OptimalCache> cache_;
 
-  Mode mode_ = Mode::kTrain;
-  std::size_t scenario_idx_ = 0;
-  std::size_t sequence_idx_ = 0;
-  std::size_t test_cursor_ = 0;
   bool in_sequence_ = false;  // mid-sequence: reset() continues it
   int t_ = 0;           // index of the DM the in-progress weights route
   int edge_cursor_ = 0;  // which edge is being set this micro-step

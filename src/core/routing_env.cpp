@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "nn/serialize.hpp"
-#include "rl/checkpoint.hpp"
-#include "routing/baselines.hpp"
 #include "routing/routing.hpp"
 #include "util/error.hpp"
 
@@ -15,29 +13,9 @@ using rl::Observation;
 
 RoutingEnv::RoutingEnv(std::vector<Scenario> scenarios, EnvConfig config,
                        std::uint64_t seed)
-    : scenarios_(std::move(scenarios)),
+    : cursor_(std::move(scenarios), config.memory, seed, "RoutingEnv"),
       config_(config),
-      rng_(seed),
-      cache_(std::make_shared<mcf::OptimalCache>()) {
-  if (scenarios_.empty()) {
-    throw std::invalid_argument("RoutingEnv: no scenarios");
-  }
-  for (const auto& s : scenarios_) {
-    if (s.train_sequences.empty() || s.test_sequences.empty()) {
-      throw std::invalid_argument("RoutingEnv: scenario missing sequences");
-    }
-    for (const auto& seq : s.train_sequences) {
-      if (static_cast<int>(seq.size()) <= config_.memory) {
-        throw std::invalid_argument("RoutingEnv: sequence shorter than memory");
-      }
-    }
-  }
-}
-
-void RoutingEnv::set_mode(Mode mode) {
-  mode_ = mode;
-  test_cursor_ = 0;
-}
+      cache_(std::make_shared<mcf::OptimalCache>()) {}
 
 void RoutingEnv::set_shared_cache(std::shared_ptr<mcf::OptimalCache> cache) {
   if (!cache) {
@@ -46,37 +24,8 @@ void RoutingEnv::set_shared_cache(std::shared_ptr<mcf::OptimalCache> cache) {
   cache_ = std::move(cache);
 }
 
-const Scenario& RoutingEnv::current_scenario() const {
-  return scenarios_[scenario_idx_];
-}
-
-const graph::DiGraph& RoutingEnv::current_graph() const {
-  return current_scenario().graph;
-}
-
-const traffic::DemandSequence& RoutingEnv::current_sequence() const {
-  const Scenario& s = current_scenario();
-  return mode_ == Mode::kTrain ? s.train_sequences[sequence_idx_]
-                               : s.test_sequences[sequence_idx_];
-}
-
 int RoutingEnv::episode_length() const {
-  return static_cast<int>(current_sequence().size()) - config_.memory;
-}
-
-std::size_t RoutingEnv::num_test_episodes() const {
-  std::size_t total = 0;
-  for (const auto& s : scenarios_) total += s.test_sequences.size();
-  return total;
-}
-
-int RoutingEnv::episodes_in_unit(std::size_t /*unit*/) const { return 1; }
-
-void RoutingEnv::seek_test_unit(std::size_t unit) {
-  if (mode_ != Mode::kTest) {
-    throw std::logic_error("RoutingEnv::seek_test_unit: requires kTest mode");
-  }
-  test_cursor_ = unit % num_test_units();
+  return static_cast<int>(cursor_.sequence().size()) - config_.memory;
 }
 
 int RoutingEnv::action_dim() const {
@@ -153,26 +102,9 @@ Observation RoutingEnv::build_observation(const Scenario& scenario,
 }
 
 Observation RoutingEnv::reset() {
-  if (mode_ == Mode::kTrain) {
-    scenario_idx_ = rng_.uniform_index(scenarios_.size());
-    sequence_idx_ =
-        rng_.uniform_index(current_scenario().train_sequences.size());
-  } else {
-    // Deterministic sweep over (scenario, test sequence).
-    std::size_t total = 0;
-    for (const auto& s : scenarios_) total += s.test_sequences.size();
-    std::size_t idx = test_cursor_ % total;
-    scenario_idx_ = 0;
-    while (idx >= scenarios_[scenario_idx_].test_sequences.size()) {
-      idx -= scenarios_[scenario_idx_].test_sequences.size();
-      ++scenario_idx_;
-    }
-    sequence_idx_ = idx;
-    test_cursor_ = (test_cursor_ + 1) % total;
-  }
+  cursor_.advance();
   t_ = config_.memory;
-  episode_steps_ = 0;
-  return build_observation(current_scenario(), current_sequence(), t_,
+  return build_observation(current_scenario(), cursor_.sequence(), t_,
                            config_.memory, config_.node_features);
 }
 
@@ -181,10 +113,10 @@ rl::Env::StepResult RoutingEnv::step(std::span<const double> action) {
   if (static_cast<int>(action.size()) != action_dim()) {
     throw std::invalid_argument("RoutingEnv::step: action size mismatch");
   }
-  const auto& seq = current_sequence();
-  if (t_ >= static_cast<int>(seq.size())) {
+  const auto& seq = cursor_.sequence();
+  if (t_ < config_.memory || t_ >= static_cast<int>(seq.size())) {
     throw std::logic_error(
-        "RoutingEnv::step: episode is over — call reset() first");
+        "RoutingEnv::step: no episode in progress — call reset() first");
   }
   const auto& dm = seq[static_cast<size_t>(t_)];
 
@@ -210,30 +142,17 @@ rl::Env::StepResult RoutingEnv::step(std::span<const double> action) {
               .sim;
   }
 
-  double achieved = 0.0;
-  double optimal = 0.0;
-  if (config_.objective == Objective::kMaxUtilisation) {
-    achieved = sim.u_max;
-    optimal = cache_->u_max(g, dm);
-  } else {
-    achieved = routing::mean_utilisation(g, sim);
-    optimal = cache_->mean_util(g, dm);
-  }
-
+  const double optimal = cache_->u_max(g, dm);
   StepResult result;
-  last_ratio_ = optimal > 0.0 ? achieved / optimal : 1.0;
+  last_ratio_ = optimal > 0.0 ? sim.u_max / optimal : 1.0;
   result.reward = -last_ratio_;  // paper Eq. 2
   ++t_;
-  ++episode_steps_;
-  // Both episode endings here are *truncations*: the demand process does
-  // not terminate, we merely ran out of sequence (or hit the step cap).
-  // The terminal observation is still well-defined (its history window
-  // ends at the final routed DM) and is returned so the collector can
-  // bootstrap V(s_T) instead of zeroing it.
-  const bool out_of_sequence = t_ >= static_cast<int>(seq.size());
-  const bool step_capped = config_.max_episode_steps > 0 &&
-                           episode_steps_ >= config_.max_episode_steps;
-  result.done = out_of_sequence || step_capped;
+  // The episode ending here is a *truncation*: the demand process does
+  // not terminate, we merely ran out of sequence.  The terminal
+  // observation is still well-defined (its history window ends at the
+  // final routed DM) and is returned so the collector can bootstrap
+  // V(s_T) instead of zeroing it.
+  result.done = t_ >= static_cast<int>(seq.size());
   result.truncated = result.done;
   // Valid even at t_ == seq.size(): the observation reads the history
   // window [t_ - memory, t_), which ends at the final routed DM.
@@ -246,16 +165,18 @@ namespace {
 constexpr std::uint32_t kEnvStateVersion = 1;
 }  // namespace
 
+// The blob format carries the steps taken in the current episode, which
+// t determines: t - memory once an episode has started, 0 before.
+int RoutingEnv::steps_into_episode(int t) const {
+  return t == 0 ? 0 : t - config_.memory;
+}
+
 std::vector<std::uint8_t> RoutingEnv::save_state() const {
   std::ostringstream os;
   nn::write_pod(os, kEnvStateVersion);
-  rl::write_rng_state(os, rng_);
-  nn::write_pod(os, static_cast<std::uint8_t>(mode_ == Mode::kTest ? 1 : 0));
-  nn::write_pod(os, static_cast<std::uint64_t>(scenario_idx_));
-  nn::write_pod(os, static_cast<std::uint64_t>(sequence_idx_));
-  nn::write_pod(os, static_cast<std::uint64_t>(test_cursor_));
+  cursor_.write_state(os);
   nn::write_pod(os, static_cast<std::int32_t>(t_));
-  nn::write_pod(os, static_cast<std::int32_t>(episode_steps_));
+  nn::write_pod(os, static_cast<std::int32_t>(steps_into_episode(t_)));
   nn::write_pod(os, last_ratio_);
   const std::string bytes = std::move(os).str();
   return {bytes.begin(), bytes.end()};
@@ -270,19 +191,7 @@ void RoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
     throw util::IoError("unsupported RoutingEnv state version " +
                         std::to_string(version));
   }
-  util::Rng rng(0);
-  rl::read_rng_state(is, rng, "RoutingEnv rng");
-  const auto mode_flag = nn::read_pod<std::uint8_t>(is, "RoutingEnv mode");
-  if (mode_flag > 1) {
-    throw util::IoError("corrupt value in field 'RoutingEnv mode'");
-  }
-  const Mode mode = mode_flag != 0 ? Mode::kTest : Mode::kTrain;
-  const auto scenario_idx =
-      nn::read_pod<std::uint64_t>(is, "RoutingEnv scenario index");
-  const auto sequence_idx =
-      nn::read_pod<std::uint64_t>(is, "RoutingEnv sequence index");
-  const auto test_cursor =
-      nn::read_pod<std::uint64_t>(is, "RoutingEnv test cursor");
+  const EpisodeCursor::State cursor = cursor_.read_state(is);
   const auto t = nn::read_pod<std::int32_t>(is, "RoutingEnv t");
   const auto episode_steps =
       nn::read_pod<std::int32_t>(is, "RoutingEnv episode steps");
@@ -290,51 +199,16 @@ void RoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
   if (is.peek() != std::istream::traits_type::eof()) {
     throw util::IoError("trailing bytes after RoutingEnv state");
   }
-
-  if (scenario_idx >= scenarios_.size()) {
-    throw util::IoError("RoutingEnv scenario index " +
-                        std::to_string(scenario_idx) + " out of range (" +
-                        std::to_string(scenarios_.size()) + " scenarios)");
-  }
-  const Scenario& scenario = scenarios_[static_cast<std::size_t>(scenario_idx)];
-  const auto& sequences = mode == Mode::kTrain ? scenario.train_sequences
-                                               : scenario.test_sequences;
-  if (sequence_idx >= sequences.size()) {
-    throw util::IoError("RoutingEnv sequence index " +
-                        std::to_string(sequence_idx) + " out of range");
-  }
-  const auto seq_len =
-      static_cast<std::int32_t>(sequences[sequence_idx].size());
-  if (t < 0 || t > seq_len) {
-    throw util::IoError("RoutingEnv t " + std::to_string(t) +
-                        " out of range [0, " + std::to_string(seq_len) + "]");
-  }
-  if (episode_steps < 0) {
-    throw util::IoError("negative value in field 'RoutingEnv episode steps'");
+  cursor_.check_position(cursor, t);
+  if (episode_steps != steps_into_episode(t)) {
+    throw util::IoError("RoutingEnv episode steps " +
+                        std::to_string(episode_steps) +
+                        " disagree with t " + std::to_string(t));
   }
 
-  rng_ = rng;
-  mode_ = mode;
-  scenario_idx_ = static_cast<std::size_t>(scenario_idx);
-  sequence_idx_ = static_cast<std::size_t>(sequence_idx);
-  test_cursor_ = static_cast<std::size_t>(test_cursor);
+  cursor_.restore(cursor);
   t_ = t;
-  episode_steps_ = episode_steps;
   last_ratio_ = last_ratio;
-}
-
-std::vector<std::unique_ptr<RoutingEnv>> make_vec_envs(
-    const std::vector<Scenario>& scenarios, const EnvConfig& config,
-    std::uint64_t seed, int n) {
-  if (n <= 0) throw std::invalid_argument("make_vec_envs: n <= 0");
-  std::vector<std::unique_ptr<RoutingEnv>> envs;
-  envs.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    envs.push_back(std::make_unique<RoutingEnv>(
-        scenarios, config, seed + static_cast<std::uint64_t>(i)));
-    if (i > 0) envs.back()->set_shared_cache(envs.front()->shared_cache());
-  }
-  return envs;
 }
 
 }  // namespace gddr::core

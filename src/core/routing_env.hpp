@@ -17,21 +17,16 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "core/episode_cursor.hpp"
 #include "core/scenario.hpp"
 #include "mcf/cache.hpp"
 #include "rl/env.hpp"
 #include "routing/softmin.hpp"
-#include "util/rng.hpp"
 
 namespace gddr::core {
-
-// Which utility function the agent optimises (paper §IX lists exploring
-// different utility functions as further work).  Each objective is scored
-// against its own exact oracle: the MCF LP for max-utilisation, the
-// inverse-capacity shortest-path decomposition for mean-utilisation.
-enum class Objective { kMaxUtilisation, kMeanUtilisation };
 
 // GNN node-feature encoding (paper §V-B).  kInOutSums is the paper's
 // choice: per history step, each vertex carries (sum of outgoing demand,
@@ -52,7 +47,6 @@ enum class ActionSpace { kEdgeWeights, kPerDestinationWeights };
 
 struct EnvConfig {
   int memory = 5;  // demand-history length (paper: 5)
-  Objective objective = Objective::kMaxUtilisation;
   NodeFeatureMode node_features = NodeFeatureMode::kInOutSums;
   ActionSpace action_space = ActionSpace::kEdgeWeights;
   routing::SoftminOptions softmin;
@@ -64,34 +58,31 @@ struct EnvConfig {
   // everywhere and gradients vanish).
   double min_weight = 0.5;
   double max_weight = 3.0;
-  // Hard per-episode step cap (0 = uncapped).  An episode cut by the cap
-  // — like one ending because the demand sequence ran out — is a
-  // truncation, not a terminal: StepResult::truncated is set and the
-  // terminal observation returned so GAE can bootstrap from V(s_T).
-  int max_episode_steps = 0;
 };
 
 class RoutingEnv final : public rl::Env {
  public:
-  enum class Mode { kTrain, kTest };
+  using Config = EnvConfig;
+  using Mode = EpisodeCursor::Mode;
 
   RoutingEnv(std::vector<Scenario> scenarios, EnvConfig config,
              std::uint64_t seed);
 
   // Train mode samples (scenario, train sequence) randomly; test mode
   // cycles deterministically through every (scenario, test sequence) pair.
-  void set_mode(Mode mode);
-  Mode mode() const { return mode_; }
+  void set_mode(Mode mode) { cursor_.set_mode(mode); }
+  Mode mode() const { return cursor_.mode(); }
 
   rl::Observation reset() override;
   StepResult step(std::span<const double> action) override;
   int action_dim() const override;
 
-  // Checkpoint support (rl::Env contract): the complete dynamic state —
-  // sampling RNG, mode, scenario/sequence/test cursors, episode position
-  // — as an opaque blob.  restore_state validates every field against the
-  // configured scenarios and throws util::IoError naming the offending
-  // field, leaving the env unchanged on failure.
+  // Checkpoint support (rl::Env contract): the complete dynamic state as
+  // an opaque blob — a version word, the cursor's fields (sampling RNG,
+  // mode, scenario/sequence/test cursors), then the episode position.
+  // restore_state validates every field against the configured scenarios
+  // and throws util::IoError naming the offending field, leaving the env
+  // unchanged on failure.
   std::vector<std::uint8_t> save_state() const override;
   void restore_state(std::span<const std::uint8_t> blob) override;
 
@@ -99,19 +90,19 @@ class RoutingEnv final : public rl::Env {
   // paper's Figures 6 and 8 plot; reward is its negation).
   double last_ratio() const { return last_ratio_; }
 
-  const graph::DiGraph& current_graph() const;
-  const Scenario& current_scenario() const;
+  const graph::DiGraph& current_graph() const {
+    return current_scenario().graph;
+  }
+  const Scenario& current_scenario() const { return cursor_.scenario(); }
   int episode_length() const;  // steps per episode in the current scenario
-  // Total (scenario, test sequence) pairs — one test episode each.
-  std::size_t num_test_episodes() const;
 
   // Parallel-evaluation support: a test *unit* is one (scenario, test
   // sequence) pair, the granularity at which evaluation is farmed out to
   // workers.  seek_test_unit positions the deterministic test sweep so
   // the next reset() starts unit `unit`; requires kTest mode.
-  std::size_t num_test_units() const { return num_test_episodes(); }
-  int episodes_in_unit(std::size_t unit) const;
-  void seek_test_unit(std::size_t unit);
+  std::size_t num_test_units() const { return cursor_.num_test_units(); }
+  int episodes_in_unit(std::size_t /*unit*/) const { return 1; }
+  void seek_test_unit(std::size_t unit) { cursor_.seek_test_unit(unit); }
 
   mcf::OptimalCache& cache() { return *cache_; }
 
@@ -130,27 +121,33 @@ class RoutingEnv final : public rl::Env {
       NodeFeatureMode node_features = NodeFeatureMode::kInOutSums);
 
  private:
-  const traffic::DemandSequence& current_sequence() const;
+  int steps_into_episode(int t) const;
 
-  std::vector<Scenario> scenarios_;
+  EpisodeCursor cursor_;
   EnvConfig config_;
-  util::Rng rng_;
   std::shared_ptr<mcf::OptimalCache> cache_;
 
-  Mode mode_ = Mode::kTrain;
-  std::size_t scenario_idx_ = 0;
-  std::size_t sequence_idx_ = 0;
-  std::size_t test_cursor_ = 0;  // deterministic test-episode cycling
-  int t_ = 0;                    // index of the DM the next action routes
-  int episode_steps_ = 0;        // steps taken in the current episode
+  int t_ = 0;  // index of the DM the next action routes; 0 before reset()
   double last_ratio_ = 0.0;
 };
 
-// Builds `n` independent RoutingEnv instances over the same scenarios for
+// Builds `n` independent environments over the same scenarios for
 // vectorised collection: env i is seeded `seed + i` (its own scenario /
-// sequence sampling stream) and all instances share one LP cache.
-std::vector<std::unique_ptr<RoutingEnv>> make_vec_envs(
-    const std::vector<Scenario>& scenarios, const EnvConfig& config,
-    std::uint64_t seed, int n);
+// sequence sampling stream) and all instances share one LP cache.  Env
+// is RoutingEnv or IterativeRoutingEnv (core/iterative_env.hpp).
+template <class Env = RoutingEnv>
+std::vector<std::unique_ptr<Env>> make_vec_envs(
+    const std::vector<Scenario>& scenarios,
+    const typename Env::Config& config, std::uint64_t seed, int n) {
+  if (n <= 0) throw std::invalid_argument("make_vec_envs: n <= 0");
+  std::vector<std::unique_ptr<Env>> envs;
+  envs.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    envs.push_back(std::make_unique<Env>(
+        scenarios, config, seed + static_cast<std::uint64_t>(i)));
+    if (i > 0) envs.back()->set_shared_cache(envs.front()->shared_cache());
+  }
+  return envs;
+}
 
 }  // namespace gddr::core

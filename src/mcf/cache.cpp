@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "mcf/mean_util.hpp"
 #include "mcf/optimal.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -47,40 +46,6 @@ std::uint64_t demand_fingerprint(const traffic::DemandMatrix& dm) {
 OptimalCache::OptimalCache(std::size_t capacity)
     : capacity_(capacity > 0 ? capacity : 1) {}
 
-OptimalCache::OptimalCache(const OptimalCache& other) {
-  const util::MutexLock lock(other.mutex_);
-  capacity_ = other.capacity_;
-  cache_ = other.cache_;
-  mean_cache_ = other.mean_cache_;
-  hits_ = other.hits_;
-  misses_ = other.misses_;
-  evictions_ = other.evictions_;
-  exact_solves_ = other.exact_solves_;
-  approx_solves_ = other.approx_solves_;
-  // The copied Entry::recency iterators point into the copied lists'
-  // nodes only by accident of std::list copying order — rebuild them.
-  for (LruMap* lru : {&cache_, &mean_cache_}) {
-    for (auto it = lru->order.begin(); it != lru->order.end(); ++it) {
-      lru->map[*it].recency = it;
-    }
-  }
-}
-
-OptimalCache& OptimalCache::operator=(const OptimalCache& other) {
-  if (this == &other) return *this;
-  OptimalCache copy(other);
-  const util::MutexLock lock(mutex_);
-  capacity_ = copy.capacity_;
-  cache_ = std::move(copy.cache_);
-  mean_cache_ = std::move(copy.mean_cache_);
-  hits_ = copy.hits_;
-  misses_ = copy.misses_;
-  evictions_ = copy.evictions_;
-  exact_solves_ = copy.exact_solves_;
-  approx_solves_ = copy.approx_solves_;
-  return *this;
-}
-
 std::uint64_t OptimalCache::key_for(const graph::DiGraph& g,
                                     const traffic::DemandMatrix& dm) const {
   std::uint64_t key = graph_fingerprint(g);
@@ -90,81 +55,64 @@ std::uint64_t OptimalCache::key_for(const graph::DiGraph& g,
   return key;
 }
 
-bool OptimalCache::lookup(Which which, std::uint64_t key, double& value) {
+bool OptimalCache::lookup(std::uint64_t key, double& value) {
   const util::MutexLock lock(mutex_);
-  LruMap& lru = lru_locked(which);
-  const auto it = lru.map.find(key);
-  if (it == lru.map.end()) {
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
     ++misses_;
     obs::count("mcf/cache/miss");
     return false;
   }
   ++hits_;
   obs::count("mcf/cache/hit");
-  lru.order.splice(lru.order.begin(), lru.order, it->second.recency);
+  order_.splice(order_.begin(), order_, it->second.recency);
   value = it->second.value;
   return true;
 }
 
-void OptimalCache::insert(Which which, std::uint64_t key, double value) {
+void OptimalCache::insert(std::uint64_t key, double value) {
   const util::MutexLock lock(mutex_);
-  LruMap& lru = lru_locked(which);
-  if (lru.map.find(key) != lru.map.end()) return;  // lost a benign race
-  while (lru.map.size() >= capacity_) {
-    lru.map.erase(lru.order.back());
-    lru.order.pop_back();
+  if (map_.find(key) != map_.end()) return;  // lost a benign race
+  while (map_.size() >= capacity_) {
+    map_.erase(order_.back());
+    order_.pop_back();
     ++evictions_;
     obs::count("mcf/cache/evict");
   }
-  lru.order.push_front(key);
-  lru.map.emplace(key, LruMap::Entry{value, lru.order.begin()});
-}
-
-template <typename Solver>
-double OptimalCache::lookup_or_solve(Which which, const graph::DiGraph& g,
-                                     const traffic::DemandMatrix& dm,
-                                     const Solver& solver) {
-  const std::uint64_t key = key_for(g, dm);
-  double value = 0.0;
-  if (lookup(which, key, value)) return value;
-  {
-    obs::ScopedTimer solve_timer("mcf/solve");
-    value = solver();  // LP runs outside the lock
-  }
-  insert(which, key, value);
-  return value;
-}
-
-double OptimalCache::mean_util(const graph::DiGraph& g,
-                               const traffic::DemandMatrix& dm) {
-  return lookup_or_solve(Which::kMeanUtil, g, dm,
-                         [&] { return min_mean_utilisation(g, dm); });
+  order_.push_front(key);
+  map_.emplace(key, Entry{value, order_.begin()});
 }
 
 double OptimalCache::u_max(const graph::DiGraph& g,
                            const traffic::DemandMatrix& dm) {
-  return lookup_or_solve(Which::kUmax, g, dm, [&] {
-    const OptimalResult result = solve_optimal(g, dm);
-    if (result.provenance == SolveProvenance::kFailed) {
-      throw util::SolverError("OptimalCache: LP infeasible/unsolved");
+  const std::uint64_t key = key_for(g, dm);
+  double value = 0.0;
+  if (lookup(key, value)) return value;
+  OptimalResult result;
+  {
+    obs::ScopedTimer solve_timer("mcf/solve");
+    result = solve_optimal(g, dm);  // LP runs outside the lock
+  }
+  if (result.provenance == SolveProvenance::kFailed) {
+    throw util::SolverError("OptimalCache: LP infeasible/unsolved");
+  }
+  {
+    const util::MutexLock lock(mutex_);
+    if (result.provenance == SolveProvenance::kExact) {
+      ++exact_solves_;
+      obs::count("mcf/solve/exact");
+    } else {
+      ++approx_solves_;
+      obs::count("mcf/solve/approx");
     }
-    {
-      const util::MutexLock lock(mutex_);
-      if (result.provenance == SolveProvenance::kExact) {
-        ++exact_solves_;
-        obs::count("mcf/solve/exact");
-      } else {
-        ++approx_solves_;
-        obs::count("mcf/solve/approx");
-      }
-    }
-    return result.u_max;
-  });
+  }
+  insert(key, result.u_max);
+  return result.u_max;
 }
 
 std::size_t OptimalCache::size() const {
   const util::MutexLock lock(mutex_);
-  return cache_.map.size() + mean_cache_.map.size();
+  return map_.size();
 }
 
 std::size_t OptimalCache::hits() const {
@@ -194,10 +142,8 @@ std::size_t OptimalCache::approx_solves() const {
 
 void OptimalCache::clear() {
   const util::MutexLock lock(mutex_);
-  cache_.map.clear();
-  cache_.order.clear();
-  mean_cache_.map.clear();
-  mean_cache_.order.clear();
+  map_.clear();
+  order_.clear();
   hits_ = 0;
   misses_ = 0;
   evictions_ = 0;

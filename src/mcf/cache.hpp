@@ -5,7 +5,7 @@
 // U*_max by (graph, demand-matrix) content hash removes nearly all LP
 // solves after the first episode.
 //
-// The cache is bounded (LRU eviction at `capacity` entries per map) so a
+// The cache is bounded (LRU eviction at `capacity` entries) so a
 // long multi-topology experiment cannot grow it without limit, and
 // thread-safe: lookups/insertions take an internal mutex while LP solves
 // run *outside* the lock, so concurrent evaluation workers only serialise
@@ -52,18 +52,10 @@ class OptimalCache {
  public:
   // Default capacity comfortably holds every distinct (graph, DM) pair of
   // the paper-scale experiments (hundreds per scenario) while bounding a
-  // production-length run to a few MB per map.
+  // production-length run to a few MB.
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
   explicit OptimalCache(std::size_t capacity = kDefaultCapacity);
-
-  // Copying shares no state; each copy starts from the source's entries.
-  OptimalCache(const OptimalCache& other);
-  // The thread-safety analysis is disabled here: the function-local copy
-  // it reads from is unshared by construction, and locking its mutex as
-  // well would trip the rank detector (two kOptimalCache locks).
-  OptimalCache& operator=(const OptimalCache& other)
-      GDDR_NO_THREAD_SAFETY_ANALYSIS;
 
   // Optimal U_max for (g, dm), computed on first use via solve_optimal.
   // A simplex breakdown degrades to the FPTAS (see mcf::SolveOptions)
@@ -72,11 +64,7 @@ class OptimalCache {
   // strongly connected graphs with finite demands).
   double u_max(const graph::DiGraph& g, const traffic::DemandMatrix& dm);
 
-  // Optimal *mean* link utilisation for (g, dm) (see mcf/mean_util.hpp),
-  // memoised the same way.
-  double mean_util(const graph::DiGraph& g, const traffic::DemandMatrix& dm);
-
-  // Entry cap per map (u_max and mean_util are bounded independently).
+  // Entry cap.
   std::size_t capacity() const { return capacity_; }
 
   std::size_t size() const;
@@ -91,47 +79,27 @@ class OptimalCache {
   void clear();
 
  private:
-  // One LRU map: unordered_map for O(1) lookup, intrusive recency list
-  // for O(1) touch/evict.
-  struct LruMap {
-    struct Entry {
-      double value = 0.0;
-      std::list<std::uint64_t>::iterator recency;
-    };
-    std::unordered_map<std::uint64_t, Entry> map;
-    std::list<std::uint64_t> order;  // front = most recently used
+  // unordered_map for O(1) lookup, intrusive recency list for O(1)
+  // touch/evict.
+  struct Entry {
+    double value = 0.0;
+    std::list<std::uint64_t>::iterator recency;
   };
 
   std::uint64_t key_for(const graph::DiGraph& g,
                         const traffic::DemandMatrix& dm) const;
 
-  // Selects one of the two independently bounded LRU maps.  Passing the
-  // map itself by reference would hand out an unchecked alias to a
-  // guarded member (clang's -Wthread-safety-reference rejects it), so the
-  // helpers take this tag and resolve it under the lock instead.
-  enum class Which { kUmax, kMeanUtil };
-
-  LruMap& lru_locked(Which which) GDDR_REQUIRES(mutex_) {
-    return which == Which::kUmax ? cache_ : mean_cache_;
-  }
-
   // Returns true and fills `value` on a hit (refreshing recency).
-  bool lookup(Which which, std::uint64_t key, double& value)
-      GDDR_EXCLUDES(mutex_);
+  bool lookup(std::uint64_t key, double& value) GDDR_EXCLUDES(mutex_);
   // Inserts (evicting the LRU entry when at capacity); idempotent.
-  void insert(Which which, std::uint64_t key, double value)
-      GDDR_EXCLUDES(mutex_);
-
-  template <typename Solver>
-  double lookup_or_solve(Which which, const graph::DiGraph& g,
-                         const traffic::DemandMatrix& dm,
-                         const Solver& solver);
+  void insert(std::uint64_t key, double value) GDDR_EXCLUDES(mutex_);
 
   std::size_t capacity_;
   mutable util::Mutex mutex_{util::LockRank::kOptimalCache,
                              "mcf/optimal_cache"};
-  LruMap cache_ GDDR_GUARDED_BY(mutex_);
-  LruMap mean_cache_ GDDR_GUARDED_BY(mutex_);
+  std::unordered_map<std::uint64_t, Entry> map_ GDDR_GUARDED_BY(mutex_);
+  // front = most recently used
+  std::list<std::uint64_t> order_ GDDR_GUARDED_BY(mutex_);
   std::size_t hits_ GDDR_GUARDED_BY(mutex_) = 0;
   std::size_t misses_ GDDR_GUARDED_BY(mutex_) = 0;
   std::size_t evictions_ GDDR_GUARDED_BY(mutex_) = 0;

@@ -155,13 +155,6 @@ Routing min_mean_utilisation_routing(const DiGraph& g) {
   return shortest_path_routing(g, inverse_capacity_weights(g));
 }
 
-double mean_utilisation(const DiGraph& g, const SimulationResult& sim) {
-  if (g.num_edges() == 0) return 0.0;
-  double sum = 0.0;
-  for (double u : sim.link_utilisation) sum += u;
-  return sum / static_cast<double>(g.num_edges());
-}
-
 Routing mean_demand_optimal_routing(const DiGraph& g,
                                     const traffic::DemandSequence& history) {
   if (history.empty()) {

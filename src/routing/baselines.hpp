@@ -45,11 +45,6 @@ std::vector<double> inverse_capacity_weights(const graph::DiGraph& g);
 // see mcf/mean_util.hpp).
 Routing min_mean_utilisation_routing(const graph::DiGraph& g);
 
-// Mean link utilisation of a simulation result (sum of per-link
-// utilisation over |E|).
-double mean_utilisation(const graph::DiGraph& g,
-                        const SimulationResult& sim);
-
 // A strong data-driven-but-static baseline: the routing that is *optimal
 // for the element-wise mean of the historical demand matrices* (found
 // with the MCF LP, then fixed).  This is what an operator could deploy

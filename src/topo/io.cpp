@@ -1,6 +1,7 @@
 #include "topo/io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <string_view>
@@ -49,6 +50,15 @@ bool name_is_loadable(const std::string& name) {
          (name.empty() || name.front() != '#');
 }
 
+// The shortest decimal text that reads back as exactly `capacity`
+// (std::to_chars), where the stream default keeps only 6 significant
+// digits and would save 1234567 as 1.23457e+06.
+std::string capacity_text(double capacity) {
+  char buffer[32];  // the longest shortest-form double needs 24
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), capacity);
+  return {buffer, result.ptr};
+}
+
 }  // namespace
 
 void save_topology(std::ostream& os, const DiGraph& g) {
@@ -82,12 +92,10 @@ void save_topology(std::ostream& os, const DiGraph& g) {
         break;
       }
     }
-    if (reverse != graph::kInvalidEdge) {
-      written[static_cast<size_t>(reverse)] = true;
-      os << "link " << ed.src << " " << ed.dst << " " << ed.capacity << "\n";
-    } else {
-      os << "edge " << ed.src << " " << ed.dst << " " << ed.capacity << "\n";
-    }
+    const bool link = reverse != graph::kInvalidEdge;
+    if (link) written[static_cast<size_t>(reverse)] = true;
+    os << (link ? "link " : "edge ") << ed.src << " " << ed.dst << " "
+       << capacity_text(ed.capacity) << "\n";
     written[static_cast<size_t>(e)] = true;
   }
 }

@@ -63,6 +63,7 @@ void FaultInjector::arm(const std::string& spec) {
   // Parse into fresh schedules first so a malformed spec leaves the
   // injector untouched.
   Schedule parsed[static_cast<int>(FaultSite::kSiteCount)];
+  bool seen[static_cast<int>(FaultSite::kSiteCount)] = {};
   bool any = false;
 
   // Every comma separates two clauses, so "a@1," holds an empty one.
@@ -116,6 +117,12 @@ void FaultInjector::arm(const std::string& spec) {
     }
 
     const FaultSite site = site_from_name(site_name, entry);
+    // A later clause would silently replace the earlier one's schedule.
+    if (seen[site_index(site)]) {
+      throw IoError("FaultInjector: fault site '" + site_name +
+                    "' armed twice in spec '" + spec + "'");
+    }
+    seen[site_index(site)] = true;
     parsed[site_index(site)] = schedule;
     any = true;
   }

@@ -28,8 +28,8 @@
 // Example: GDDR_FAULTS="lp_solve@3,nan_grad@2+" fails the 3rd LP solve
 // and every gradient computation from the 2nd onward.
 //
-// A malformed spec — unknown site, bad '@N'/'~P/S' token, empty clause
-// (a trailing comma included) — is a hard util::IoError naming the
+// A malformed spec — unknown site, a site named in two clauses, bad
+// '@N'/'~P/S' token, empty clause (a trailing comma included) — is a hard util::IoError naming the
 // offending token.  N and S are plain positive decimal integers and P a
 // number in [0, 1]; none may hold whitespace or a '+'.  A fault schedule
 // that silently fails to arm would make an operator believe a recovery

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/episode_cursor.hpp"
 #include "core/evaluate.hpp"
 #include "core/iterative_env.hpp"
 #include "core/policies.hpp"
@@ -338,7 +339,7 @@ TEST(RoutingEnv, TestModeCyclesDeterministically) {
       make_scenario(topo::by_name("JanetLike"), tiny_params(), rng));
   RoutingEnv env(std::move(scenarios), tiny_env_config(), 1);
   env.set_mode(RoutingEnv::Mode::kTest);
-  EXPECT_EQ(env.num_test_episodes(), 2U);
+  EXPECT_EQ(env.num_test_units(), 2U);
   env.reset();
   const int first_nodes = env.current_graph().num_nodes();
   env.reset();
@@ -346,16 +347,6 @@ TEST(RoutingEnv, TestModeCyclesDeterministically) {
   EXPECT_NE(first_nodes, second_nodes);  // both scenarios visited
   env.reset();
   EXPECT_EQ(env.current_graph().num_nodes(), first_nodes);  // wraps around
-}
-
-TEST(RoutingEnv, RejectsTooShortSequences) {
-  util::Rng rng(13);
-  ScenarioParams p = tiny_params();
-  p.sequence_length = 2;  // shorter than memory
-  auto scenarios = std::vector<Scenario>{
-      make_scenario(topo::by_name("SmallRing"), p, rng)};
-  EXPECT_THROW(RoutingEnv(std::move(scenarios), tiny_env_config(), 1),
-               std::invalid_argument);
 }
 
 TEST(RoutingEnv, BetterActionsBetterReward) {
@@ -430,7 +421,8 @@ TEST(IterativeEnv, SequenceContinuesAcrossEpisodes) {
   env.set_mode(IterativeRoutingEnv::Mode::kTest);
   const int ne = env.edges_per_step();
   const int dms = 12 - 3;
-  EXPECT_EQ(env.num_test_episodes(), static_cast<std::size_t>(dms));
+  ASSERT_EQ(env.num_test_units(), 1U);
+  EXPECT_EQ(env.episodes_in_unit(0), dms);
   for (int dm = 0; dm < dms; ++dm) {
     env.reset();
     int steps = 0;
@@ -456,6 +448,87 @@ TEST(IterativeEnv, WrongActionSizeThrows) {
   IterativeRoutingEnv env(tiny_scenarios(20), tiny_iter_config(), 1);
   env.reset();
   EXPECT_THROW(env.step(std::vector<double>{0.0}), std::invalid_argument);
+}
+
+// ---------------- episode cursor ----------------
+
+// A sequence of `memory` or fewer demand matrices leaves nothing to
+// route: reset() would read its observation window past the sequence's
+// end.  Both envs refuse such a scenario at construction, whether the
+// short sequence is a train or a test one, and in any scenario.
+TEST(EpisodeCursor, RejectsSequencesNoLongerThanMemory) {
+  util::Rng rng(21);
+  const Scenario good =
+      make_scenario(topo::by_name("SmallRing"), tiny_params(), rng);
+  for (const int length : {2, 3}) {  // memory is 3
+    ScenarioParams short_params = tiny_params();
+    short_params.sequence_length = length;
+    const Scenario shorter =
+        make_scenario(topo::by_name("SmallRing"), short_params, rng);
+    Scenario short_train = good;
+    short_train.train_sequences = shorter.train_sequences;
+    Scenario short_test = good;
+    short_test.test_sequences = shorter.test_sequences;
+    for (const Scenario& bad : {shorter, short_train, short_test}) {
+      const std::vector<Scenario> scenarios{good, bad};
+      EXPECT_THROW(RoutingEnv(scenarios, tiny_env_config(), 1),
+                   std::invalid_argument)
+          << "length " << length;
+      EXPECT_THROW(IterativeRoutingEnv(scenarios, tiny_iter_config(), 1),
+                   std::invalid_argument)
+          << "length " << length;
+    }
+  }
+}
+
+TEST(EpisodeCursor, SequenceOneLongerThanMemoryIsOneEpisodeStep) {
+  util::Rng rng(22);
+  ScenarioParams params = tiny_params();
+  params.sequence_length = 4;  // memory 3 + one routed matrix
+  const std::vector<Scenario> scenarios{
+      make_scenario(topo::by_name("SmallRing"), params, rng)};
+  RoutingEnv env(scenarios, tiny_env_config(), 1);
+  env.set_mode(RoutingEnv::Mode::kTest);
+  env.reset();
+  EXPECT_EQ(env.episode_length(), 1);
+  const std::vector<double> zero(static_cast<size_t>(env.action_dim()), 0.0);
+  EXPECT_TRUE(env.step(zero).done);
+
+  IterativeRoutingEnv iterative(scenarios, tiny_iter_config(), 1);
+  iterative.set_mode(IterativeRoutingEnv::Mode::kTest);
+  EXPECT_EQ(iterative.episodes_in_unit(0), 1);
+  iterative.reset();
+  for (int e = 0; e < iterative.edges_per_step(); ++e) {
+    EXPECT_EQ(iterative.step(std::vector<double>{0.0, 0.0}).done,
+              e + 1 == iterative.edges_per_step());
+  }
+}
+
+TEST(EpisodeCursor, TestSweepVisitsUnitsScenarioMajor) {
+  util::Rng rng(23);
+  ScenarioParams params = tiny_params();
+  params.test_sequences = 2;
+  const std::vector<Scenario> scenarios{
+      make_scenario(topo::by_name("SmallRing"), params, rng),
+      make_scenario(topo::by_name("JanetLike"), tiny_params(), rng)};
+  EpisodeCursor cursor(scenarios, 3, 1, "cursor");
+  cursor.set_mode(EpisodeCursor::Mode::kTest);
+  ASSERT_EQ(cursor.num_test_units(), 3U);
+  const traffic::DemandSequence* expected[] = {
+      &scenarios[0].test_sequences[0], &scenarios[0].test_sequences[1],
+      &scenarios[1].test_sequences[0]};
+  for (int pass = 0; pass < 2; ++pass) {  // the sweep wraps around
+    for (std::size_t unit = 0; unit < 3; ++unit) {
+      cursor.advance();
+      EXPECT_EQ(&cursor.sequence(), expected[unit]) << "unit " << unit;
+      EXPECT_EQ(&cursor.test_unit(unit), expected[unit]) << "unit " << unit;
+    }
+  }
+  cursor.seek_test_unit(4);  // modulo the unit count: unit 1
+  cursor.advance();
+  EXPECT_EQ(&cursor.sequence(), expected[1]);
+  cursor.set_mode(EpisodeCursor::Mode::kTrain);
+  EXPECT_THROW(cursor.seek_test_unit(0), std::logic_error);
 }
 
 // ---------------- policies ----------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -177,6 +178,22 @@ TEST(FaultInjector, MalformedSpecErrorsNameTheOffendingToken) {
 
   // A failed arm never leaves a partial schedule armed.
   EXPECT_FALSE(FaultInjector::instance().enabled());
+}
+
+TEST(FaultInjector, RepeatedSiteRejectedAtomically) {
+  FaultGuard guard;
+  auto& injector = FaultInjector::instance();
+  injector.arm("nan_grad@2");
+  // Accepting it would let the second clause silently replace the first.
+  const std::string msg = arm_error("lp_solve@1,lp_solve@5");
+  EXPECT_NE(msg.find("'lp_solve'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("armed twice"), std::string::npos) << msg;
+  EXPECT_THROW(injector.arm("lp_solve@1,nan_grad@3,lp_solve~0.5/7"),
+               util::IoError);
+  // The injector still holds the schedule armed before the failed calls.
+  EXPECT_FALSE(util::inject(FaultSite::kLpSolve));
+  EXPECT_FALSE(util::inject(FaultSite::kNanGradient));
+  EXPECT_TRUE(util::inject(FaultSite::kNanGradient));
 }
 
 TEST(FaultInjector, TrailingCommaIsAnEmptyClause) {
@@ -683,6 +700,168 @@ TEST(EnvState, IterativeEnvRoundTripMidMicroStep) {
       ASSERT_EQ(a.reset().flat, b.reset().flat) << "micro-step " << i;
     }
   }
+}
+
+// ---------------- golden env state blobs ----------------
+//
+// save_state() bytes of seeded envs, pinned so the blob format (the
+// version word, the episode cursor's fields, then the env's own) cannot
+// change silently and existing checkpoints keep loading.
+
+core::ScenarioParams golden_scenario_params() {
+  core::ScenarioParams p = tiny_scenario_params();
+  p.test_sequences = 3;
+  return p;
+}
+
+std::vector<core::Scenario> golden_scenarios() {
+  util::Rng srng(47);
+  return {core::make_scenario(topo::by_name("SmallRing"),
+                              golden_scenario_params(), srng)};
+}
+
+core::EnvConfig golden_env_config() {
+  core::EnvConfig cfg;
+  cfg.memory = 3;
+  return cfg;
+}
+
+core::IterativeEnvConfig golden_iterative_config() {
+  core::IterativeEnvConfig cfg;
+  cfg.memory = 3;
+  return cfg;
+}
+
+std::vector<double> golden_action(int dim) {
+  std::vector<double> action(static_cast<std::size_t>(dim));
+  for (int e = 0; e < dim; ++e) {
+    action[static_cast<std::size_t>(e)] = 0.1 * (e % 5) - 0.2;
+  }
+  return action;
+}
+
+std::vector<double> golden_micro_action(int i) {
+  return {0.1 * (i % 3) - 0.1, 0.4};
+}
+
+// Seed 5, never reset.
+const std::vector<std::uint8_t> kRoutingEnvFreshBlob = {
+    0x01, 0x00, 0x00, 0x00, 0x5a, 0xc3, 0x89, 0xa3, 0x0c, 0x3b, 0x03, 0x63,
+    0xf8, 0x36, 0x97, 0x93, 0x4d, 0x31, 0x97, 0xc0, 0x47, 0xc1, 0x6b, 0x10,
+    0xf0, 0xd3, 0x92, 0x3b, 0x45, 0xb9, 0x05, 0xda, 0xc2, 0x4e, 0x6e, 0x19,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00,
+};
+// Seed 5, train mode: one full episode, a reset and two steps.
+const std::vector<std::uint8_t> kRoutingEnvMidEpisodeBlob = {
+    0x01, 0x00, 0x00, 0x00, 0x0f, 0x48, 0xe9, 0xe4, 0xec, 0xc2, 0x55, 0x1f,
+    0xc0, 0x50, 0xf0, 0x3d, 0xcb, 0xf7, 0x71, 0x4d, 0x15, 0xf5, 0x7a, 0xda,
+    0xdc, 0x10, 0xb3, 0x6b, 0x2b, 0xe7, 0xe7, 0x49, 0xe2, 0x1d, 0x5a, 0x6c,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0xf1, 0xb3, 0xd4, 0x7f, 0x54, 0x88,
+    0xf3, 0x3f,
+};
+// Seed 7, test mode: the nine DMs of test unit 0, then three micro-steps
+// into the first DM of unit 1.
+const std::vector<std::uint8_t> kIterativeEnvMidDmBlob = {
+    0x01, 0x00, 0x00, 0x00, 0xd7, 0x0d, 0x32, 0x59, 0xe4, 0xe1, 0xcb, 0x63,
+    0x1c, 0x66, 0x3c, 0xf4, 0xd7, 0x3c, 0x4c, 0x04, 0x02, 0x2a, 0xb1, 0xba,
+    0x80, 0x40, 0x98, 0xe6, 0xcb, 0x29, 0x3e, 0x67, 0x70, 0xeb, 0x3a, 0x95,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03,
+    0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0xbf, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x9a, 0x99, 0x99, 0x99, 0x99,
+    0x99, 0xb9, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfa,
+    0x66, 0x73, 0x5b, 0xef, 0xf1, 0xf5, 0x3f,
+};
+// Bits of the reward of the step after kRoutingEnvMidEpisodeBlob, and of
+// the step that completes the DM of kIterativeEnvMidDmBlob.
+constexpr std::uint64_t kRoutingEnvNextReward = 0xbff58d429a613f51ULL;
+constexpr std::uint64_t kIterativeEnvNextDmReward = 0xbff9b23e7e1840fcULL;
+
+TEST(EnvState, RoutingEnvBlobsMatchGolden) {
+  const core::RoutingEnv fresh(golden_scenarios(), golden_env_config(), 5);
+  EXPECT_EQ(fresh.save_state(), kRoutingEnvFreshBlob);
+
+  core::RoutingEnv live(golden_scenarios(), golden_env_config(), 5);
+  live.reset();
+  const std::vector<double> action = golden_action(live.action_dim());
+  while (!live.step(action).done) {
+  }
+  live.reset();
+  live.step(action);
+  live.step(action);
+  ASSERT_EQ(live.save_state(), kRoutingEnvMidEpisodeBlob);
+
+  core::RoutingEnv restored(golden_scenarios(), golden_env_config(), 99);
+  restored.restore_state(kRoutingEnvMidEpisodeBlob);
+  EXPECT_EQ(restored.save_state(), kRoutingEnvMidEpisodeBlob);
+  const auto expected = live.step(action);
+  const auto got = restored.step(action);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.reward), kRoutingEnvNextReward);
+  EXPECT_EQ(got.reward, expected.reward);
+  EXPECT_EQ(got.obs.flat, expected.obs.flat);
+  EXPECT_EQ(got.done, expected.done);
+}
+
+TEST(EnvState, IterativeEnvBlobMatchesGolden) {
+  core::IterativeRoutingEnv live(golden_scenarios(),
+                                 golden_iterative_config(), 7);
+  live.set_mode(core::IterativeRoutingEnv::Mode::kTest);
+  for (int dm = 0; dm < 9; ++dm) {
+    live.reset();
+    for (int i = 0; !live.step(golden_micro_action(i)).done; ++i) {
+    }
+  }
+  live.reset();
+  for (int i = 0; i < 3; ++i) live.step(golden_micro_action(i));
+  ASSERT_EQ(live.save_state(), kIterativeEnvMidDmBlob);
+
+  core::IterativeRoutingEnv restored(golden_scenarios(),
+                                     golden_iterative_config(), 99);
+  restored.restore_state(kIterativeEnvMidDmBlob);
+  EXPECT_EQ(restored.save_state(), kIterativeEnvMidDmBlob);
+  for (int i = 3;; ++i) {
+    const auto expected = live.step(golden_micro_action(i));
+    const auto got = restored.step(golden_micro_action(i));
+    ASSERT_EQ(got.reward, expected.reward) << "micro-step " << i;
+    ASSERT_EQ(got.done, expected.done) << "micro-step " << i;
+    if (got.done) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.reward),
+                kIterativeEnvNextDmReward);
+      break;
+    }
+    ASSERT_TRUE(std::ranges::equal(got.obs.edges.data(),
+                                   expected.obs.edges.data()))
+        << "micro-step " << i;
+  }
+}
+
+TEST(EnvState, RoutingEnvStepSlotMustAgreeWithPosition) {
+  core::RoutingEnv env(golden_scenarios(), golden_env_config(), 5);
+  // The step-count slot follows t (i32) after the version, the RNG, the
+  // mode byte and the three u64 cursor fields.
+  const std::size_t steps_off = 4 + 8 * 4 + 8 + 1 + 1 + 3 * 8 + 4;
+  auto blob = kRoutingEnvMidEpisodeBlob;
+  ASSERT_EQ(blob[steps_off], 2);  // t 5 with memory 3: two steps in
+  blob[steps_off] = 3;
+  EXPECT_THROW(env.restore_state(blob), util::IoError);
+  EXPECT_EQ(env.save_state(), kRoutingEnvFreshBlob);
 }
 
 // ---------------- kill-and-resume acceptance test ----------------

@@ -191,22 +191,6 @@ std::vector<core::Scenario> tiny_scenarios(std::uint64_t seed) {
   return scenarios;
 }
 
-TEST(RoutingEnvTruncation, StepCapTruncatesWithTerminalObservation) {
-  core::EnvConfig cfg = tiny_env_config();
-  cfg.max_episode_steps = 2;
-  core::RoutingEnv env(tiny_scenarios(3), cfg, 1);
-  env.reset();
-  const std::vector<double> action(static_cast<size_t>(env.action_dim()),
-                                   0.0);
-  auto r1 = env.step(action);
-  EXPECT_FALSE(r1.done);
-  auto r2 = env.step(action);
-  EXPECT_TRUE(r2.done);
-  EXPECT_TRUE(r2.truncated);
-  // Terminal observation must be present for the V(s_T) bootstrap.
-  EXPECT_FALSE(r2.obs.flat.empty());
-}
-
 TEST(RoutingEnvTruncation, SequenceEndIsAlsoTruncation) {
   core::RoutingEnv env(tiny_scenarios(4), tiny_env_config(), 1);
   env.reset();

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <exception>
 #include <sstream>
@@ -222,6 +223,28 @@ TEST(TopologyIo, GeneratedGraphsRoundTrip) {
       const auto found = loaded.find_edge(e.src, e.dst);
       ASSERT_TRUE(found.has_value()) << original.name();
       EXPECT_EQ(loaded.edge(*found).capacity, e.capacity);
+    }
+  }
+}
+
+TEST(TopologyIo, CapacitiesRoundTripBitExactly) {
+  // The stream default of six significant digits would save 1234567 as
+  // 1.23457e+06 and load it back as 1234570.
+  for (const double capacity : {1234567.0, 0.1, 9920.000000001}) {
+    graph::DiGraph original(3, "caps");
+    original.add_bidirectional(0, 1, capacity);  // saved as a link
+    original.add_edge(1, 2, capacity);           // saved as edges
+    original.add_edge(2, 0, capacity);
+    std::stringstream ss;
+    save_topology(ss, original);
+    const graph::DiGraph loaded = load_topology(ss);
+    ASSERT_EQ(loaded.num_edges(), original.num_edges());
+    for (const graph::Edge& e : original.edges()) {
+      const auto found = loaded.find_edge(e.src, e.dst);
+      ASSERT_TRUE(found.has_value());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded.edge(*found).capacity),
+                std::bit_cast<std::uint64_t>(capacity))
+          << ss.str();
     }
   }
 }

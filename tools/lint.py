@@ -23,6 +23,10 @@ Checks conventions clang-tidy cannot express:
     every lock goes through util::Mutex / util::SharedMutex so it carries
     thread-safety capability annotations and a lock rank (DESIGN.md §13).
 
+It ends by printing the line count of src/**/*.{hpp,cpp} per module and
+in total (newlines, as `wc -l` counts them), so every CI lint log shows
+the library's size and a change's net effect on it.
+
 Exit status: 0 clean, 1 findings, 2 usage error.  Run from the repo root:
 
     python3 tools/lint.py
@@ -137,6 +141,26 @@ def lint_file(path: Path, roots: set[str]) -> list[str]:
     return findings
 
 
+def src_line_counts() -> dict[str, int]:
+    """Lines of src/**/*.{hpp,cpp} per module (first directory under src/)."""
+    counts: dict[str, int] = {}
+    for path in sorted(SRC.rglob("*")):
+        if path.suffix not in (".hpp", ".cpp") or not path.is_file():
+            continue
+        module = path.relative_to(SRC).parts[0]
+        lines = path.read_bytes().count(b"\n")
+        counts[module] = counts.get(module, 0) + lines
+    return counts
+
+
+def print_src_line_counts() -> None:
+    counts = src_line_counts()
+    print("src/ line count (*.hpp, *.cpp):", file=sys.stderr)
+    for module, lines in counts.items():
+        print(f"  {module:<12}{lines:>7}", file=sys.stderr)
+    print(f"  {'total':<12}{sum(counts.values()):>7}", file=sys.stderr)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print(__doc__, file=sys.stderr)
@@ -156,6 +180,7 @@ def main(argv: list[str]) -> int:
         print(line)
     print(f"lint.py: {len(files)} files checked, {len(findings)} finding(s)",
           file=sys.stderr)
+    print_src_line_counts()
     return 1 if findings else 0
 
 
