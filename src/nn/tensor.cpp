@@ -36,7 +36,14 @@ Tensor Tensor::zeros_like(const Tensor& other) {
 }
 
 std::string Tensor::shape_str() const {
-  return "[" + std::to_string(rows_) + "x" + std::to_string(cols_) + "]";
+  // Appended piece by piece: GCC 12's -O3 inlining of
+  // "[" + std::to_string(...) raises a false -Wrestrict warning.
+  std::string out = "[";
+  out += std::to_string(rows_);
+  out += 'x';
+  out += std::to_string(cols_);
+  out += ']';
+  return out;
 }
 
 void Tensor::reshape_zero(int rows, int cols) {

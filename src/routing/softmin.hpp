@@ -19,6 +19,21 @@
 // demand through the row in the same walk, with no loop check and no
 // Kahn sort; the pull is the one routing::simulate runs, so both give the
 // same bits.  Weights are checked once per translation.
+//
+// Destinations are independent except for three running sums: the link
+// loads, the delivered and the injected traffic.  Given a thread pool,
+// softmin_simulate shares the destinations between the calling thread and
+// helper tasks on the pool.  The caller claims destinations from the
+// bottom, one at a time, and sweeps them into the result exactly as the
+// serial sweep; helpers claim from the top, each with its own buffers,
+// and keep per destination its per-edge load terms and the traffic it
+// absorbed.  When the claims meet and the claimed destinations are done,
+// the caller continues the three sums over the helpers' destinations in
+// order, so the result has the serial bits at any shard count and any
+// interleaving (sweep.hpp says why the load terms add up exactly).  The
+// caller works instead of waiting and never waits for a helper that has
+// not started, so a helper woken late costs little: the caller has taken
+// its share.
 #pragma once
 
 #include <span>
@@ -27,6 +42,7 @@
 #include "graph/digraph.hpp"
 #include "routing/routing.hpp"
 #include "traffic/demand.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gddr::routing {
 
@@ -77,13 +93,16 @@ struct SoftminSimulation {
 // per destination: the same routing and the same bits as
 // simulate(g, softmin_routing(g, weights, options), dm) under strict
 // SimulateOptions.  Bad weights or sizes throw std::invalid_argument (a
-// translation failure); lost traffic, e.g. demand from a source that
-// cannot reach its destination, throws std::runtime_error (a simulation
-// failure).
+// translation failure) before any work reaches `pool`; lost traffic, e.g.
+// demand from a source that cannot reach its destination, throws
+// std::runtime_error (a simulation failure).  `pool` may be null
+// (serial); otherwise the caller and sweep_shards(g, pool) - 1 helper
+// tasks share the destinations, with the same bits.
 SoftminSimulation softmin_simulate(const graph::DiGraph& g,
                                    const std::vector<double>& weights,
                                    const SoftminOptions& options,
-                                   const traffic::DemandMatrix& dm);
+                                   const traffic::DemandMatrix& dm,
+                                   util::ThreadPool* pool = nullptr);
 
 // softmin_simulate for the per-destination action space: bit-identical to
 // simulate(g, softmin_routing_per_destination(g, weights_by_dest,
@@ -91,7 +110,32 @@ SoftminSimulation softmin_simulate(const graph::DiGraph& g,
 SoftminSimulation softmin_simulate_per_destination(
     const graph::DiGraph& g,
     const std::vector<std::vector<double>>& weights_by_dest,
-    const SoftminOptions& options, const traffic::DemandMatrix& dm);
+    const SoftminOptions& options, const traffic::DemandMatrix& dm,
+    util::ThreadPool* pool = nullptr);
+
+// The number of destination shards softmin_simulate runs on `g` with
+// `pool`: 1 when the pool is null or inline, or when |V| x |E| is too
+// small for a helper thread's wake-up to pay (Abilene, Nsfnet and
+// GeantLike stay serial); else one per pool thread plus the caller's, and
+// at most one per 8 destinations.
+int sweep_shards(const graph::DiGraph& g, const util::ThreadPool* pool);
+
+// softmin_simulate and softmin_simulate_per_destination on exactly
+// `shards` shards: the caller and shards - 1 helper tasks (clamped to
+// [1, |V|]; more than one needs a pool).  An inline pool runs its helper
+// at submit time, which claims every destination before the caller
+// starts.  For the bit-identity tests and bench_routing_micro.
+SoftminSimulation softmin_simulate_sharded(const graph::DiGraph& g,
+                                           const std::vector<double>& weights,
+                                           const SoftminOptions& options,
+                                           const traffic::DemandMatrix& dm,
+                                           util::ThreadPool* pool,
+                                           int shards);
+SoftminSimulation softmin_simulate_per_destination_sharded(
+    const graph::DiGraph& g,
+    const std::vector<std::vector<double>>& weights_by_dest,
+    const SoftminOptions& options, const traffic::DemandMatrix& dm,
+    util::ThreadPool* pool, int shards);
 
 // Maps raw agent actions in [-1,1] to strictly positive edge weights
 // usable by softmin_routing (affine map to [min_weight, max_weight]).

@@ -9,6 +9,13 @@
 // in any topological order of the row's positive-ratio edges, and the
 // order of the sum is fixed by in_edges, so Kahn's order (simulate) and
 // reverse Dijkstra settle order (softmin_simulate) give identical loads.
+//
+// A vertex is visited once and pulls each in-edge once, so one
+// destination adds at most one term to each edge's load.  That is what
+// lets softmin_simulate shard destinations: a helper task pulls t into a
+// zeroed row of its own, whose entry e is exactly the term the serial
+// sweep would add, and the caller adds the rows to the loads in
+// destination order (adding +0.0 where t sent nothing changes no bit).
 #pragma once
 
 #include <span>
@@ -59,7 +66,7 @@ inline bool inject(const traffic::DemandMatrix& dm, graph::NodeId t,
 // reference's push sweep gives on the same corrupted row.
 inline void pull(const graph::DiGraph& g, std::span<const double> ratios,
                  graph::NodeId t, graph::NodeId u, Buffers& buf,
-                 std::vector<double>& load) {
+                 std::span<double> load) {
   double a = buf.injection[static_cast<std::size_t>(u)];
   for (graph::EdgeId e : g.in_edges(u)) {
     const double r = ratios[static_cast<std::size_t>(e)];

@@ -59,6 +59,7 @@ Engine::Engine(const rl::Policy* policy, EngineConfig config)
           config_.router.node_feature_scale,
           config_.router.flat_feature_scale)),
       breaker_(std::make_shared<CircuitBreaker>(config_.router.breaker)),
+      sweep_pool_(config_.workers),
       queue_(config_.queue_capacity) {
   if (config_.workers < 0) {
     throw std::invalid_argument("Engine: workers must be >= 0");
@@ -72,8 +73,8 @@ Engine::Engine(const rl::Policy* policy, EngineConfig config)
   const int router_count = config_.workers == 0 ? 1 : config_.workers;
   routers_.reserve(static_cast<std::size_t>(router_count));
   for (int i = 0; i < router_count; ++i) {
-    routers_.push_back(std::make_unique<RobustRouter>(policy, config_.router,
-                                                      cache_, breaker_));
+    routers_.push_back(std::make_unique<RobustRouter>(
+        policy, config_.router, cache_, breaker_, &sweep_pool_));
   }
   // Constructor: no concurrent access yet, lifecycle_mu_ not needed (and
   // clang's analysis exempts constructors for the same reason).

@@ -11,6 +11,15 @@
 // one by one through RobustRouter::decide under the policy version picked
 // at the batch boundary.
 //
+// The engine also owns a helper pool of `workers` threads, apart from the
+// workers, with which every router's rung-1 softmin sweep shares its
+// destinations (routing::softmin_simulate: the worker sweeps from the
+// lowest destination up, helper tasks from the highest down, and the
+// worker never waits for a helper that has not started).  Graphs too
+// small to pay for a helper's wake-up stay serial, and an engine of 0 or
+// 1 workers has an inline pool, so it never shards.  Decisions are
+// bit-identical to a plain router's either way.
+//
 // Admission control never blocks and never drops a future on the floor:
 // submit() always returns a future that resolves, either to a decision
 // or to a ServeOutcome with shed=true.  A request is shed when
@@ -228,6 +237,9 @@ class Engine {
   EngineConfig config_;
   std::shared_ptr<TopologyCache> cache_;
   std::shared_ptr<CircuitBreaker> breaker_;
+  // Shared by every router's rung-1 sweep; declared before the routers,
+  // which hold a pointer to it.
+  util::ThreadPool sweep_pool_;
   std::vector<std::unique_ptr<RobustRouter>> routers_;
   util::MpmcQueue<Job> queue_;
   // Serialises lifecycle transitions and inline-mode serving: poll(),

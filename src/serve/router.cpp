@@ -117,15 +117,18 @@ RobustRouter::RobustRouter(const rl::Policy* policy, RouterConfig config)
                    std::make_shared<TopologyCache>(
                        config.topology_cache_capacity, config.softmin,
                        config.node_feature_scale, config.flat_feature_scale),
-                   std::make_shared<CircuitBreaker>(config.breaker)) {}
+                   std::make_shared<CircuitBreaker>(config.breaker),
+                   /*sweep_pool=*/nullptr) {}
 
 RobustRouter::RobustRouter(const rl::Policy* policy, RouterConfig config,
                            std::shared_ptr<TopologyCache> cache,
-                           std::shared_ptr<CircuitBreaker> breaker)
+                           std::shared_ptr<CircuitBreaker> breaker,
+                           util::ThreadPool* sweep_pool)
     : policy_(policy),
       config_(config),
       breaker_(std::move(breaker)),
-      cache_(std::move(cache)) {
+      cache_(std::move(cache)),
+      sweep_pool_(sweep_pool) {
   if (cache_ == nullptr || breaker_ == nullptr) {
     throw std::invalid_argument("RobustRouter: null shared cache/breaker");
   }
@@ -337,7 +340,8 @@ FailureCause RobustRouter::try_policy_rung(
   try {
     const std::vector<double> weights = routing::weights_from_actions(
         mean, config_.min_weight, config_.max_weight);
-    candidate = routing::softmin_simulate(g, weights, config_.softmin, demand);
+    candidate = routing::softmin_simulate(g, weights, config_.softmin, demand,
+                                          sweep_pool_);
   } catch (const std::runtime_error&) {
     return FailureCause::kSimulationFailed;
   } catch (const std::exception&) {

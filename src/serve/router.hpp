@@ -42,10 +42,11 @@
 //
 // Thread model: one RobustRouter per serving worker, with the expensive
 // per-topology state shareable across workers — serve::Engine constructs
-// its workers' routers over one thread-safe TopologyCache and one
-// thread-safe CircuitBreaker (the shared-state constructor below), while
-// RouterStats stay per-router.  A router constructed with the plain
-// constructor owns private instances and behaves exactly as before.
+// its workers' routers over one thread-safe TopologyCache, one
+// thread-safe CircuitBreaker and one helper pool for the rung-1 softmin
+// sweep (the shared-state constructor below), while RouterStats stay
+// per-router.  A router constructed with the plain constructor owns
+// private instances and sweeps serially; both give the same bits.
 #pragma once
 
 #include <chrono>
@@ -63,6 +64,7 @@
 #include "serve/sanitize.hpp"
 #include "serve/topo_cache.hpp"
 #include "traffic/demand.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gddr::serve {
 
@@ -176,10 +178,13 @@ class RobustRouter {
   // one circuit breaker (a failing policy trips for the whole fleet).
   // Both must be non-null; config.breaker / topology_cache_capacity /
   // softmin / feature scales are ignored in favour of the shared
-  // instances' own configuration.
+  // instances' own configuration.  `sweep_pool` shards rung 1's softmin
+  // sweep across destinations (routing::softmin_simulate, same bits; null
+  // sweeps serially); it must outlive the router.
   RobustRouter(const rl::Policy* policy, RouterConfig config,
                std::shared_ptr<TopologyCache> cache,
-               std::shared_ptr<CircuitBreaker> breaker);
+               std::shared_ptr<CircuitBreaker> breaker,
+               util::ThreadPool* sweep_pool);
 
   // Produces a valid routing decision for the request.  Never throws.
   RouteDecision decide(const RouteRequest& request);
@@ -225,6 +230,7 @@ class RobustRouter {
   RouterConfig config_;
   std::shared_ptr<CircuitBreaker> breaker_;
   std::shared_ptr<TopologyCache> cache_;
+  util::ThreadPool* sweep_pool_;
   RouterStats stats_;
 };
 

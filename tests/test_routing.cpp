@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <span>
 #include <string>
@@ -19,6 +21,7 @@
 #include "topo/zoo.hpp"
 #include "traffic/generators.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gddr::routing {
 namespace {
@@ -1009,6 +1012,61 @@ std::vector<std::pair<std::string, DemandMatrix>> demand_cases(
   return cases;
 }
 
+// The sharded sweep must give the serial sweep's bits at any shard count.
+// One 3-thread pool serves every sharded call: at 4 shards all helpers
+// run at once, and more shards than threads queue.
+util::ThreadPool& sweep_pool() {
+  static util::ThreadPool pool(3);
+  return pool;
+}
+
+// 1-4 shards, one per destination and more shards than destinations.
+std::vector<int> shard_counts(const DiGraph& g) {
+  return {1, 2, 3, 4, g.num_nodes(), g.num_nodes() + 5};
+}
+
+void expect_sharded_matches_serial(const DiGraph& g,
+                                   const SoftminSimulation& sharded,
+                                   const SoftminSimulation& serial,
+                                   const std::string& label) {
+  for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    expect_same_bits(sharded.routing.dest_ratios(t),
+                     serial.routing.dest_ratios(t),
+                     label + " row " + std::to_string(t));
+  }
+  expect_same_bits(sharded.sim.link_load, serial.sim.link_load,
+                   label + " load");
+  expect_same_bits(sharded.sim.link_utilisation, serial.sim.link_utilisation,
+                   label + " utilisation");
+  EXPECT_TRUE(same_bits(sharded.sim.delivered, serial.sim.delivered))
+      << label << " delivered " << sharded.sim.delivered << " vs "
+      << serial.sim.delivered;
+  EXPECT_TRUE(same_bits(sharded.sim.u_max, serial.sim.u_max))
+      << label << " u_max " << sharded.sim.u_max << " vs "
+      << serial.sim.u_max;
+}
+
+// Every shard count, on the pool and on an inline pool (whose helper runs
+// at submit time and claims every destination), and the shard count
+// softmin_simulate picks itself, against the serial sweep.
+template <class Sharded>
+void expect_every_sharding_matches(const DiGraph& g,
+                                   const SoftminSimulation& serial,
+                                   const Sharded& sharded,
+                                   const std::string& label) {
+  util::ThreadPool inline_pool(1);
+  for (const int shards : shard_counts(g)) {
+    const std::string at = label + " " + std::to_string(shards) + " shards";
+    expect_sharded_matches_serial(g, sharded(&sweep_pool(), shards), serial,
+                                  at);
+    expect_sharded_matches_serial(g, sharded(&inline_pool, shards), serial,
+                                  at + " inline");
+  }
+  expect_sharded_matches_serial(
+      g, sharded(&sweep_pool(), sweep_shards(g, &sweep_pool())), serial,
+      label + " auto");
+}
+
 class FusedSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(FusedSweep, SingleWeightVectorMatchesTwoPassBitForBit) {
@@ -1053,8 +1111,91 @@ TEST_P(FusedSweep, PerDestinationWeightsMatchTwoPassBitForBit) {
   }
 }
 
+TEST_P(FusedSweep, ShardedSingleWeightVectorMatchesSerialBitForBit) {
+  const auto cases = family::graph_family();
+  const auto& c = cases[static_cast<std::size_t>(GetParam())];
+  const DiGraph& g = c.g;
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 14000);
+  const auto reach = family::reachability(g);
+  const auto w = family::random_weights(g, rng);
+  SoftminOptions options;
+  options.gamma = rng.uniform(0.5, 6.0);
+  for (const auto& [name, dm] : demand_cases(g, reach, rng)) {
+    expect_every_sharding_matches(
+        g, softmin_simulate(g, w, options, dm),
+        [&](util::ThreadPool* pool, int shards) {
+          return softmin_simulate_sharded(g, w, options, dm, pool, shards);
+        },
+        c.name + " " + name);
+  }
+}
+
+TEST_P(FusedSweep, ShardedPerDestinationWeightsMatchSerialBitForBit) {
+  const auto cases = family::graph_family();
+  const auto& c = cases[static_cast<std::size_t>(GetParam())];
+  const DiGraph& g = c.g;
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 15000);
+  const auto reach = family::reachability(g);
+  std::vector<std::vector<double>> rows(
+      static_cast<std::size_t>(g.num_nodes()));
+  for (auto& row : rows) {
+    if (rng.uniform(0.0, 1.0) < 0.8) row = family::random_weights(g, rng);
+  }
+  for (const auto& [name, dm] : demand_cases(g, reach, rng)) {
+    expect_every_sharding_matches(
+        g, softmin_simulate_per_destination(g, rows, {}, dm),
+        [&](util::ThreadPool* pool, int shards) {
+          return softmin_simulate_per_destination_sharded(g, rows, {}, dm,
+                                                          pool, shards);
+        },
+        c.name + " per-destination " + name);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Family, FusedSweep,
                          ::testing::Range(0, family::graph_family_size()));
+
+// The serving benchmark's graph (graph seed 100) under dense bimodal
+// demand, both weight forms: the size the engine shards in production.
+TEST(FusedSweep, ShardedBa100MatchesSerialBitForBit) {
+  util::Rng graph_rng(100);
+  const DiGraph g = topo::barabasi_albert(100, 2, graph_rng);
+  util::Rng rng(16000);
+  const DemandMatrix dm =
+      traffic::bimodal_matrix(g.num_nodes(), traffic::BimodalParams{}, rng);
+  const auto w = family::random_weights(g, rng);
+  EXPECT_GT(sweep_shards(g, &sweep_pool()), 1);
+  expect_every_sharding_matches(
+      g, softmin_simulate(g, w, {}, dm),
+      [&](util::ThreadPool* pool, int shards) {
+        return softmin_simulate_sharded(g, w, {}, dm, pool, shards);
+      },
+      "ba100");
+  std::vector<std::vector<double>> rows(
+      static_cast<std::size_t>(g.num_nodes()));
+  for (auto& row : rows) row = family::random_weights(g, rng);
+  expect_every_sharding_matches(
+      g, softmin_simulate_per_destination(g, rows, {}, dm),
+      [&](util::ThreadPool* pool, int shards) {
+        return softmin_simulate_per_destination_sharded(g, rows, {}, dm, pool,
+                                                        shards);
+      },
+      "ba100 per-destination");
+}
+
+// Small graphs, a null pool and an inline pool never shard.
+TEST(FusedSweep, ShardCountFollowsGraphSizeAndPool) {
+  util::Rng graph_rng(100);
+  const DiGraph ba100 = topo::barabasi_albert(100, 2, graph_rng);
+  util::ThreadPool inline_pool(1);
+  util::ThreadPool two(2);
+  EXPECT_EQ(sweep_shards(ba100, nullptr), 1);
+  EXPECT_EQ(sweep_shards(ba100, &inline_pool), 1);
+  EXPECT_EQ(sweep_shards(ba100, &two), 3);
+  for (const char* name : {"Abilene", "Nsfnet", "GeantLike"}) {
+    EXPECT_EQ(sweep_shards(topo::by_name(name), &two), 1) << name;
+  }
+}
 
 TEST(FusedSweep, DemandFromAnUnreachableSourceThrowsInBothPaths) {
   util::Rng rng(13000);
@@ -1088,6 +1229,16 @@ TEST(FusedSweep, DemandFromAnUnreachableSourceThrowsInBothPaths) {
     EXPECT_THROW(softmin_simulate_per_destination(g, rows, {}, dm),
                  std::runtime_error)
         << c.name;
+    for (const int shards : {2, 4}) {
+      EXPECT_THROW(
+          softmin_simulate_sharded(g, w, {}, dm, &sweep_pool(), shards),
+          std::runtime_error)
+          << c.name << " on " << shards << " shards";
+      EXPECT_THROW(softmin_simulate_per_destination_sharded(
+                       g, rows, {}, dm, &sweep_pool(), shards),
+                   std::runtime_error)
+          << c.name << " on " << shards << " shards";
+    }
   }
   EXPECT_GE(disconnected, 2);
 }
@@ -1104,6 +1255,85 @@ TEST(FusedSweep, BadWeightsThrowInvalidArgument) {
                std::invalid_argument);
   EXPECT_THROW(softmin_simulate_per_destination(g, {{}, {}}, {}, dm),
                std::invalid_argument);
+}
+
+// Holds every thread of `pool` until the returned promise is set.
+std::pair<std::promise<void>, std::vector<std::future<void>>> hold_threads(
+    util::ThreadPool& pool) {
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<std::future<void>> held;
+  for (int i = 0; i < pool.size(); ++i) {
+    held.push_back(pool.submit([released] { released.wait(); }));
+  }
+  return {std::move(release), std::move(held)};
+}
+
+// The caller never waits for a helper that has not started: with every
+// pool thread held it sweeps every destination itself, with the serial
+// bits, and returns.  The helpers then run after it returned and must
+// find nothing to claim (ASan would catch one touching the dead frame).
+TEST(FusedSweep, ShardedSweepDoesNotWaitForHelpersThatHaveNotStarted) {
+  util::Rng graph_rng(100);
+  const DiGraph g = topo::barabasi_albert(100, 2, graph_rng);
+  util::Rng rng(18000);
+  const DemandMatrix dm =
+      traffic::bimodal_matrix(g.num_nodes(), traffic::BimodalParams{}, rng);
+  const auto w = family::random_weights(g, rng);
+  util::ThreadPool pool(2);
+  auto [release, held] = hold_threads(pool);
+  auto call = std::async(std::launch::async, [&] {
+    return softmin_simulate_sharded(g, w, {}, dm, &pool, 3);
+  });
+  const bool returned =
+      call.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release.set_value();
+  ASSERT_TRUE(returned) << "the sweep waited for a helper that never ran";
+  expect_sharded_matches_serial(g, call.get(), softmin_simulate(g, w, {}, dm),
+                                "held pool");
+  for (std::future<void>& f : held) f.get();
+  // The late helpers are queued behind the held tasks; this one runs
+  // after them.
+  pool.submit([] {}).get();
+}
+
+// Weights are checked before any helper reaches the pool: the calls throw
+// std::invalid_argument at once, even with every pool thread held.
+TEST(FusedSweep, BadWeightsThrowBeforeAnyShardIsSubmitted) {
+  const DiGraph g = diamond();
+  DemandMatrix dm(4);
+  dm.set(0, 3, 1.0);
+  util::ThreadPool pool(2);
+  auto [release, held] = hold_threads(pool);
+  auto calls = std::async(std::launch::async, [&] {
+    int thrown = 0;
+    const std::vector<std::vector<double>> bad_rows{
+        {1.0, 1.0, 1.0, 1.0}, {1.0, -1.0, 1.0, 1.0}, {}, {}};
+    const auto expect_invalid = [&](const auto& call) {
+      try {
+        call();
+      } catch (const std::invalid_argument&) {
+        ++thrown;
+      }
+    };
+    expect_invalid([&] {
+      softmin_simulate_sharded(g, {1.0, 1.0}, {}, dm, &pool, 4);
+    });
+    expect_invalid([&] {
+      softmin_simulate_sharded(g, {1.0, std::nan(""), 1.0, 1.0}, {}, dm,
+                               &pool, 4);
+    });
+    expect_invalid([&] {
+      softmin_simulate_per_destination_sharded(g, bad_rows, {}, dm, &pool, 4);
+    });
+    return thrown;
+  });
+  const bool returned =
+      calls.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release.set_value();
+  ASSERT_TRUE(returned) << "a bad-weight call waited on the pool";
+  EXPECT_EQ(calls.get(), 3);
+  for (std::future<void>& f : held) f.get();
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -37,12 +38,15 @@
 #include "serve/router.hpp"
 #include "serve/sanitize.hpp"
 #include "serve/topo_cache.hpp"
+#include "support/routing_family.hpp"
 #include "topo/generators.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/demand.hpp"
+#include "traffic/generators.hpp"
 #include "util/fault.hpp"
 #include "util/mpmc_queue.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gddr {
 namespace {
@@ -55,6 +59,7 @@ using serve::Engine;
 using serve::EngineConfig;
 using serve::FailureCause;
 using serve::RobustRouter;
+using serve::RouteDecision;
 using serve::RouteRequest;
 using serve::RouterConfig;
 using serve::RouterStats;
@@ -455,6 +460,116 @@ TEST(Sanitize, SizeMismatchDropsTheWholeMatrix) {
   EXPECT_TRUE(report.size_mismatch);
   EXPECT_EQ(out.num_nodes(), 3);
   EXPECT_DOUBLE_EQ(out.total(), 0.0);
+}
+
+// Seeded mutation loop over the serving ingress: each input is a valid
+// dense matrix with 1-4 mutations (NaN, +-inf, negative, huge, denormal
+// and -0.0 entries, a bit flip anywhere in an entry, a matrix or a
+// reachability table of the wrong size).  Each must either come back as a
+// matrix that every rung routes under strict simulation, with a report
+// that accounts for it, or throw std::invalid_argument; nothing else.
+// Two graphs with unroutable pairs: one-way reachability and islands.
+TEST(Sanitize, MutatedMatricesSanitizeOrThrowInvalidArgument) {
+  const auto family = routing::family::graph_family();
+  util::Rng rng(17000);
+  int sanitized = 0;
+  int rejected = 0;
+  for (const auto& c : family) {
+    if (c.name != "ws16-cut" && c.name != "split-er7-ba9") continue;
+    const graph::DiGraph& g = c.g;
+    const int n = g.num_nodes();
+    const auto nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+    serve::TopologyCache cache(1, routing::SoftminOptions{}, 1.0, 1.0);
+    const auto entry = cache.acquire(g);
+    const std::vector<double> unit(static_cast<std::size_t>(g.num_edges()),
+                                   1.0);
+    serve::SanitizeLimits limits;
+    for (int iter = 0; iter < 300; ++iter) {
+      std::vector<double> raw = traffic::bimodal_matrix(
+                                    n, traffic::BimodalParams{}, rng)
+                                    .raw();
+      int size = n;
+      std::size_t table_size = nn;
+      const int mutations = 1 + static_cast<int>(rng.uniform_index(4));
+      for (int m = 0; m < mutations; ++m) {
+        double& d = raw[rng.uniform_index(raw.size())];
+        switch (rng.uniform_index(10)) {
+          case 0: d = std::numeric_limits<double>::quiet_NaN(); break;
+          case 1: d = std::numeric_limits<double>::infinity(); break;
+          case 2: d = -std::numeric_limits<double>::infinity(); break;
+          case 3: d = -rng.uniform(0.0, 1e6); break;
+          case 4:
+            d = rng.uniform(0.5, 1.0) * std::numeric_limits<double>::max();
+            break;
+          case 5:
+            d = std::numeric_limits<double>::denorm_min() *
+                static_cast<double>(1 + rng.uniform_index(1000));
+            break;
+          case 6: d = -0.0; break;
+          case 7: {
+            unsigned char bytes[sizeof(double)];
+            std::memcpy(bytes, &d, sizeof d);
+            bytes[rng.uniform_index(sizeof d)] ^= static_cast<unsigned char>(
+                1U << rng.uniform_index(8));
+            std::memcpy(&d, bytes, sizeof d);
+            break;
+          }
+          case 8: size = n + (rng.uniform_index(2) == 0 ? -1 : 1); break;
+          default: table_size = nn + 1 - 2 * rng.uniform_index(2); break;
+        }
+      }
+      if (size != n) {
+        raw.assign(static_cast<std::size_t>(size) *
+                       static_cast<std::size_t>(size),
+                   1.0);
+      }
+      const auto in = traffic::DemandMatrix::from_raw_unchecked(size, raw);
+      std::vector<bool> reachable = entry->reachable;
+      reachable.resize(table_size, true);
+      serve::SanitizeReport report;
+      traffic::DemandMatrix out;
+      try {
+        out = serve::sanitize_demands(in, n, limits, reachable, report);
+      } catch (const std::invalid_argument&) {
+        EXPECT_NE(table_size, nn) << c.name << " iteration " << iter;
+        ++rejected;
+        continue;
+      }
+      ++sanitized;
+      const std::string at = c.name + " iteration " + std::to_string(iter);
+      ASSERT_EQ(out.num_nodes(), n) << at;
+      EXPECT_EQ(report.size_mismatch, size != n) << at;
+      for (int s = 0; s < n; ++s) {
+        for (int t = 0; t < n; ++t) {
+          const double d = out.at(s, t);
+          ASSERT_TRUE(std::isfinite(d) && d >= 0.0 && d <= limits.max_demand)
+              << at << " (" << s << ", " << t << ") = " << d;
+          if (s == t || !entry->reachable[static_cast<std::size_t>(s) *
+                                              static_cast<std::size_t>(n) +
+                                          static_cast<std::size_t>(t)]) {
+            ASSERT_EQ(d, 0.0) << at << " (" << s << ", " << t << ")";
+          }
+        }
+      }
+      const double routed = report.offered_demand - report.unroutable_demand -
+                            report.clamped_demand;
+      if (std::isfinite(report.offered_demand)) {
+        EXPECT_LE(std::abs(out.total() - routed),
+                  1e-9 * report.offered_demand + 1e-300)
+            << at;
+      }
+      // Every rung: the learned rung's fused sweep (unit weights stand in
+      // for the policy), then the two cached static routings.
+      EXPECT_NO_THROW({
+        const auto fused = routing::softmin_simulate(g, unit, {}, out);
+        EXPECT_TRUE(std::isfinite(fused.sim.u_max)) << at;
+        routing::simulate(g, entry->inverse_capacity, out);
+        routing::simulate(g, entry->shortest_path, out);
+      }) << at;
+    }
+  }
+  EXPECT_GT(sanitized, 400);
+  EXPECT_GT(rejected, 20);
 }
 
 // ---------------- TopologyCache ----------------
@@ -1112,43 +1227,71 @@ TEST(Engine, BatchedEngineDecisionsMatchPlainRouter) {
   EXPECT_GE(engine.stats().batches, 1);
 }
 
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+bool same_bits(double a, double b) { return same_bits({&a, 1}, {&b, 1}); }
+
+// Decisions must depend only on the request, not on the worker fleet
+// shape, how the micro-batches happened to form or, on BA100, how rung 1's
+// softmin sweep shared its destinations with the engine's helper pool (one
+// thread per worker): every decision carries a plain router's bits,
+// routing table, loads and U_max.
 TEST(Engine, WorkerCountDoesNotChangeDecisions) {
   util::Rng rng(7);
   core::GnnPolicy policy(core::experiment_gnn_config(5), rng);
-  const auto g = topo::abilene();
-  const int kRequests = 10;
+  const auto abilene = topo::abilene();
+  util::Rng graph_rng(100);
+  const auto ba100 = topo::barabasi_albert(100, 2, graph_rng);
+  std::vector<RouteRequest> requests;
+  for (int i = 0; i < 10; ++i) {
+    requests.push_back(make_request(abilene, 0.5 + 0.125 * i));
+  }
+  for (int i = 0; i < 6; ++i) {
+    RouteRequest request;
+    request.graph = &ba100;
+    request.demand = traffic::bimodal_matrix(ba100.num_nodes(),
+                                             traffic::BimodalParams{}, rng);
+    requests.push_back(std::move(request));
+  }
+  RobustRouter plain(&policy, test_router_config());
+  std::vector<RouteDecision> expected;
+  for (const RouteRequest& request : requests) {
+    expected.push_back(plain.decide(request));
+    ASSERT_EQ(expected.back().rung, Rung::kGnnPolicy);
+  }
 
-  // Decisions must depend only on the request, not on the worker fleet
-  // shape or how the micro-batches happened to form.
-  auto run = [&](int workers) {
+  for (const int workers : {0, 1, 2, 4}) {
+    util::ThreadPool same_size(workers);
+    EXPECT_EQ(routing::sweep_shards(ba100, &same_size) > 1, workers > 1)
+        << workers << " workers";
     EngineConfig config = inline_engine_config();
     config.workers = workers;
-    config.max_batch = 4;
     Engine engine(&policy, config);
     std::vector<std::future<ServeOutcome>> futures;
-    for (int i = 0; i < kRequests; ++i) {
-      futures.push_back(engine.submit(make_request(g, 0.5 + 0.125 * i)));
+    for (const RouteRequest& request : requests) {
+      futures.push_back(engine.submit(request));
     }
     engine.poll();  // no-op when workers > 0
-    std::vector<double> u_max;
-    for (auto& f : futures) {
-      const ServeOutcome outcome = f.get();
-      EXPECT_FALSE(outcome.shed);
-      EXPECT_EQ(outcome.decision.rung, Rung::kGnnPolicy);
-      u_max.push_back(outcome.decision.sim.u_max);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const ServeOutcome outcome = futures[i].get();
+      ASSERT_FALSE(outcome.shed);
+      const RouteDecision& got = outcome.decision;
+      const RouteDecision& want = expected[i];
+      const graph::DiGraph& g = *requests[i].graph;
+      ASSERT_EQ(got.rung, Rung::kGnnPolicy) << workers << " workers";
+      EXPECT_TRUE(same_bits(got.sim.u_max, want.sim.u_max))
+          << workers << " workers, request " << i;
+      EXPECT_TRUE(same_bits(got.sim.link_load, want.sim.link_load))
+          << workers << " workers, request " << i;
+      for (graph::NodeId t = 0; t < g.num_nodes(); ++t) {
+        ASSERT_TRUE(same_bits(got.routing.dest_ratios(t),
+                              want.routing.dest_ratios(t)))
+            << workers << " workers, request " << i << " row " << t;
+      }
     }
-    return u_max;
-  };
-
-  const auto inline_run = run(0);
-  const auto two_workers = run(2);
-  const auto four_workers = run(4);
-  ASSERT_EQ(inline_run.size(), static_cast<std::size_t>(kRequests));
-  for (int i = 0; i < kRequests; ++i) {
-    EXPECT_EQ(inline_run[static_cast<std::size_t>(i)],
-              two_workers[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(inline_run[static_cast<std::size_t>(i)],
-              four_workers[static_cast<std::size_t>(i)]);
   }
 }
 
@@ -1427,6 +1570,10 @@ TEST(Engine, ConcurrentHotSwapNeverTearsABatch) {
       ++version;
     }
   });
+  // Serve only once the swapper is running, so the swaps overlap the
+  // batches on any scheduler (the 64 requests can otherwise all be
+  // served before the swapper thread first runs).
+  while (engine.swaps() < 2) std::this_thread::yield();
 
   std::vector<std::future<ServeOutcome>> futures;
   for (int i = 0; i < 64; ++i) {
