@@ -259,6 +259,7 @@ SoftminSimulation translate(const DiGraph& g, const WeightsFor& weights_for,
     };
     const auto claims = std::make_shared<Claims>(n);
     const auto helper = [&, claims] {
+      // Built on the first claim: a late task must not touch this frame.
       std::optional<Workspace> hws;
       NodeId t = 0;
       while (claim(*claims, /*lowest=*/false, t)) {

@@ -1255,18 +1255,14 @@ TEST(FusedSweep, BadWeightsThrowInvalidArgument) {
                std::invalid_argument);
   EXPECT_THROW(softmin_simulate_per_destination(g, {{}, {}}, {}, dm),
                std::invalid_argument);
-}
-
-// Holds every thread of `pool` until the returned promise is set.
-std::pair<std::promise<void>, std::vector<std::future<void>>> hold_threads(
-    util::ThreadPool& pool) {
-  std::promise<void> release;
-  const std::shared_future<void> released = release.get_future().share();
-  std::vector<std::future<void>> held;
-  for (int i = 0; i < pool.size(); ++i) {
-    held.push_back(pool.submit([released] { released.wait(); }));
-  }
-  return {std::move(release), std::move(held)};
+  // The sharded path checks the weights before any helper is submitted.
+  EXPECT_THROW(softmin_simulate_sharded(g, {1.0, std::nan(""), 1.0, 1.0}, {},
+                                        dm, &sweep_pool(), 4),
+               std::invalid_argument);
+  EXPECT_THROW(softmin_simulate_per_destination_sharded(
+                   g, {{1.0, 1.0, 1.0, 1.0}, {1.0, -1.0, 1.0, 1.0}, {}, {}},
+                   {}, dm, &sweep_pool(), 4),
+               std::invalid_argument);
 }
 
 // The caller never waits for a helper that has not started: with every
@@ -1281,7 +1277,12 @@ TEST(FusedSweep, ShardedSweepDoesNotWaitForHelpersThatHaveNotStarted) {
       traffic::bimodal_matrix(g.num_nodes(), traffic::BimodalParams{}, rng);
   const auto w = family::random_weights(g, rng);
   util::ThreadPool pool(2);
-  auto [release, held] = hold_threads(pool);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<std::future<void>> held;
+  for (int i = 0; i < pool.size(); ++i) {
+    held.push_back(pool.submit([released] { released.wait(); }));
+  }
   auto call = std::async(std::launch::async, [&] {
     return softmin_simulate_sharded(g, w, {}, dm, &pool, 3);
   });
@@ -1295,45 +1296,6 @@ TEST(FusedSweep, ShardedSweepDoesNotWaitForHelpersThatHaveNotStarted) {
   // The late helpers are queued behind the held tasks; this one runs
   // after them.
   pool.submit([] {}).get();
-}
-
-// Weights are checked before any helper reaches the pool: the calls throw
-// std::invalid_argument at once, even with every pool thread held.
-TEST(FusedSweep, BadWeightsThrowBeforeAnyShardIsSubmitted) {
-  const DiGraph g = diamond();
-  DemandMatrix dm(4);
-  dm.set(0, 3, 1.0);
-  util::ThreadPool pool(2);
-  auto [release, held] = hold_threads(pool);
-  auto calls = std::async(std::launch::async, [&] {
-    int thrown = 0;
-    const std::vector<std::vector<double>> bad_rows{
-        {1.0, 1.0, 1.0, 1.0}, {1.0, -1.0, 1.0, 1.0}, {}, {}};
-    const auto expect_invalid = [&](const auto& call) {
-      try {
-        call();
-      } catch (const std::invalid_argument&) {
-        ++thrown;
-      }
-    };
-    expect_invalid([&] {
-      softmin_simulate_sharded(g, {1.0, 1.0}, {}, dm, &pool, 4);
-    });
-    expect_invalid([&] {
-      softmin_simulate_sharded(g, {1.0, std::nan(""), 1.0, 1.0}, {}, dm,
-                               &pool, 4);
-    });
-    expect_invalid([&] {
-      softmin_simulate_per_destination_sharded(g, bad_rows, {}, dm, &pool, 4);
-    });
-    return thrown;
-  });
-  const bool returned =
-      calls.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
-  release.set_value();
-  ASSERT_TRUE(returned) << "a bad-weight call waited on the pool";
-  EXPECT_EQ(calls.get(), 3);
-  for (std::future<void>& f : held) f.get();
 }
 
 }  // namespace
